@@ -29,29 +29,16 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_lattice(path: str):
+def _read_order(path: str, build):
+    """Parse a poset file and build it with as_lattice or as_meet_semilattice."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        poset = order_core.parse_poset(raw.decode("utf-8"))
-        return order_core.as_lattice(poset), _digest(raw)
-    except (order_core.OrderError, ValueError, UnicodeDecodeError) as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _read_meet_semilattice(path: str):
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        poset = order_core.parse_poset(raw.decode("utf-8"))
-        return order_core.as_meet_semilattice(poset), _digest(raw)
-    except (order_core.OrderError, ValueError, UnicodeDecodeError) as exc:
+        return build(order_core.parse_poset(raw.decode("utf-8"))), _digest(raw)
+    except ValueError as exc:  # OrderError, bad JSON, bad UTF-8
         raise InputError(str(exc)) from exc
 
 
@@ -80,7 +67,7 @@ def _report(command: str, digest: str, flags: dict) -> dict:
 def cmd_verify_lattice(args) -> int:
     started = time.time()
     flags = {"presentation": args.presentation, "oracle": args.oracle}
-    lat, digest = _read_lattice(args.file)
+    lat, digest = _read_order(args.file, order_core.as_lattice)
     report = _report("verify-lattice", digest, flags)
     if args.presentation == "full":
         circ = circuit_mod.build_full(lat)
@@ -99,6 +86,11 @@ def cmd_verify_lattice(args) -> int:
     ok = iso_res.ok
     if args.oracle:
         dc = circuit_mod.discretize(circ, args.oracle)
+        if not finspace.thresholds(dc.space, dc.r_min):
+            raise InputError(
+                f"--oracle {args.oracle} leaves no distance threshold above "
+                f"r_min = {dc.r_min}; use --oracle 3 or more"
+            )
         res = gate.oracle(dc, budget=args.max_candidates)
         symbolic = {tuple(a) for a in assignments}
         agree = res.pattern_set == symbolic and len(res.definable) == len(symbolic)
@@ -128,6 +120,11 @@ def cmd_gate_oracle(args) -> int:
     report = _report("gate-oracle", digest, flags)
     dc = gate.discretize(args.n) if args.variant == "plain" else gate.discretize_dagger(args.n)
     r_min = _parse_fraction(args.r_min) if args.r_min else dc.r_min
+    if not finspace.thresholds(dc.space, r_min):
+        raise InputError(
+            f"r_min = {r_min} leaves no distance threshold in (r_min, 1] at "
+            f"n = {args.n}; pass a smaller --r-min, e.g. --r-min 1/4"
+        )
     res = gate.oracle(dc, r_min, budget=args.max_candidates)
     expected = gate.expected_patterns(args.variant)
     ok = res.pattern_set == expected and len(res.definable) == len(expected)
@@ -204,7 +201,7 @@ def cmd_tower(args) -> int:
 def cmd_filters(args) -> int:
     started = time.time()
     flags = {"include_empty": args.include_empty, "as_lattice": args.as_lattice}
-    m, digest = _read_meet_semilattice(args.file)
+    m, digest = _read_order(args.file, order_core.as_meet_semilattice)
     report = _report("filters", digest, flags)
     fs = order_core.filters(m, include_empty=args.include_empty)
     report["results"] = {
@@ -229,7 +226,7 @@ def cmd_filters(args) -> int:
 def cmd_y0(args) -> int:
     started = time.time()
     flags = {"k": args.k}
-    m, digest = _read_meet_semilattice(args.file)
+    m, digest = _read_order(args.file, order_core.as_meet_semilattice)
     report = _report("y0", digest, flags)
     if args.k > m.n:
         raise InputError(f"k={args.k} exceeds the {m.n} enumerated elements")
@@ -258,7 +255,7 @@ def cmd_y0(args) -> int:
 def cmd_export_dot(args) -> int:
     started = time.time()
     flags = {"what": args.what, "out": args.out}
-    lat, digest = _read_lattice(args.file)
+    lat, digest = _read_order(args.file, order_core.as_lattice)
     report = _report("export-dot", digest, flags)
     if args.what == "hasse":
         lines = ["digraph hasse {"]
@@ -351,27 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(str(exc), file=sys.stderr)
-        print(
-            json.dumps(
-                {"command": args.cmd, "error": str(exc), "verdict": "error"},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 2
-    except (order_core.OrderError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        print(
-            json.dumps(
-                {"command": args.cmd, "error": str(exc), "verdict": "error"},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 2
-    except finspace.BudgetExceeded as exc:
+    except (InputError, ValueError, finspace.BudgetExceeded) as exc:
         print(str(exc), file=sys.stderr)
         print(
             json.dumps(

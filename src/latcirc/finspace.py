@@ -6,12 +6,27 @@ bitmasks throughout; the exhaustive oracles depend on that staying cheap.
 
 Distance storage is sparse: only pairs at distance < 1 are recorded, every
 other distinct pair is at distance exactly 1.
+
+Each space is compiled once, on first use, into a private bitmask view held
+on the instance (it takes no part in equality, repr or serialization): the
+closure mask of every cell, the sorted distance values, and, built lazily per
+radius r, one mask per cell of the cells strictly within r.  Closure,
+expansion, thresholds and the closed-set generators read that view instead
+of rebuilding it.
+
+Definability needs only the smallest threshold r0 above the floor.  The
+expansion of d grows with r and interior is monotone, so d inside
+int(expand(d, r0)) puts d inside int(expand(d, r)) for every larger r.  And d
+lies inside int(E) exactly when every minimal open of a cell of d lies inside
+E, so with U(d) the union of those minimal opens and N(d) the cells within r0
+of d, the whole test is U(d) & ~(d | N(d)) == 0.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -21,12 +36,11 @@ class BudgetExceeded(RuntimeError):
 
 
 def bits(mask: int):
-    i = 0
+    """Indices of the set bits, lowest first; cost grows with the set bits."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def cellset(ids) -> int:
@@ -62,6 +76,9 @@ class DiscreteSpace:
     dist: dict
     slices: tuple[Fraction, ...] | None = None
     resolution: Fraction = Fraction(1)
+    _compiled: "_View | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:
@@ -78,11 +95,64 @@ class DiscreteSpace:
 
     def closure_masks(self) -> tuple[int, ...]:
         """cl({x}) per cell: everything whose minimal open contains x."""
-        cl = [1 << i for i in range(self.n)]
-        for y in range(self.n):
-            for x in bits(self.min_open[y]):
+        return _view(self).closure
+
+
+class _View:
+    """The compiled bitmask tables of one space (see the module docstring)."""
+
+    __slots__ = ("closure", "values", "_near", "_floors")
+
+    def __init__(self, s: DiscreteSpace):
+        cl = [1 << i for i in range(s.n)]
+        for y in range(s.n):
+            for x in bits(s.min_open[y]):
                 cl[x] |= 1 << y
-        return tuple(cl)
+        self.closure = tuple(cl)
+        vals = set(s.dist.values())
+        if len(s.dist) < s.n * (s.n - 1) // 2:
+            vals.add(Fraction(1))
+        self.values = tuple(sorted(vals))
+        self._near: dict = {}  # count of distance values below r -> masks
+        self._floors: dict = {}  # r_min -> (r0 or None, packed kernel table)
+
+    def near(self, s: DiscreteSpace, r: Fraction) -> tuple[int, ...]:
+        """Per cell, the other cells strictly within r of it."""
+        key = bisect_left(self.values, r)
+        masks = self._near.get(key)
+        if masks is None:
+            near = [0] * s.n
+            for (a, b), d in s.dist.items():
+                if d < r:
+                    near[a] |= 1 << b
+                    near[b] |= 1 << a
+            masks = self._near[key] = tuple(near)
+        return masks
+
+    def kernel(self, s: DiscreteSpace, r_min) -> tuple:
+        """The smallest threshold above r_min, and per cell the packed mask
+        cl(x) | min_open(x) << n | near_r0(x) << 2n."""
+        entry = self._floors.get(r_min)
+        if entry is None:
+            vals = self.values
+            i = bisect_right(vals, r_min)
+            r0 = vals[i] if i < len(vals) and vals[i] <= 1 else None
+            near = self.near(s, r0) if r0 is not None else (0,) * s.n
+            n = s.n
+            table = tuple(
+                c | m << n | a << 2 * n
+                for c, m, a in zip(self.closure, s.min_open, near)
+            )
+            entry = self._floors[r_min] = (r0, table)
+        return entry
+
+
+def _view(s: DiscreteSpace) -> _View:
+    v = s._compiled
+    if v is None:
+        v = _View(s)
+        object.__setattr__(s, "_compiled", v)
+    return v
 
 
 def _near_table(s: DiscreteSpace) -> list[list[tuple[int, Fraction]]]:
@@ -139,7 +209,7 @@ def validate(s: DiscreteSpace) -> list[str]:
 
 def closure(s: DiscreteSpace, a: int) -> int:
     out = a
-    cl = s.closure_masks()
+    cl = _view(s).closure
     for x in bits(a):
         out |= cl[x]
     return out
@@ -168,12 +238,15 @@ def expand(s: DiscreteSpace, a: int, r: Fraction) -> int:
     if r > 1:
         return s.full_mask
     out = a
-    near = _near_table(s)
+    near = _view(s).near(s, r)
     for x in bits(a):
-        for y, d in near[x]:
-            if d < r:
-                out |= 1 << y
+        out |= near[x]
     return out
+
+
+def near_masks(s: DiscreteSpace, r: Fraction) -> tuple[int, ...]:
+    """Per cell, the other cells strictly within r of it (cached per radius)."""
+    return _view(s).near(s, r)
 
 
 def distance_values(s: DiscreteSpace) -> list[Fraction]:
@@ -182,29 +255,55 @@ def distance_values(s: DiscreteSpace) -> list[Fraction]:
     Unstored distinct pairs sit at distance 1, so 1 belongs to the value set
     exactly when some distinct pair is missing from the sparse table.
     """
-    vals = set(s.dist.values())
-    if len(s.dist) < s.n * (s.n - 1) // 2:
-        vals.add(Fraction(1))
-    return sorted(vals)
+    return list(_view(s).values)
 
 
 def thresholds(s: DiscreteSpace, r_min: Fraction) -> list[Fraction]:
-    return [v for v in distance_values(s) if r_min < v <= 1]
+    vals = _view(s).values
+    return [v for v in vals[bisect_right(vals, r_min):] if v <= 1]
+
+
+def _failure(s: DiscreteSpace, d: int, r_min: Fraction):
+    """None when d is definable; otherwise (None, missing cells) when d is not
+    closed, or (threshold, cell) for the first failing containment: the
+    smallest threshold and the lowest cell of d outside int(expand(d, r))."""
+    if d == 0 or d == s.full_mask:
+        return None
+    view = _view(s)
+    r0, table = view.kernel(s, r_min)
+    acc = 0
+    m = d
+    while m:
+        low = m & -m
+        acc |= table[low.bit_length() - 1]
+        m ^= low
+    n = s.n
+    full = (1 << n) - 1
+    missing = acc & full & ~d
+    if missing:
+        return None, missing
+    if r0 is None:
+        return None
+    bad = acc >> n & full & ~(d | acc >> 2 * n)
+    if not bad:
+        return None
+    # the cells of d whose minimal open meets `bad` are d & cl(bad)
+    hit = 0
+    for y in bits(bad):
+        hit |= view.closure[y]
+    hit &= d
+    return r0, (hit & -hit).bit_length() - 1
 
 
 def why_not_definable(s: DiscreteSpace, d: int, r_min: Fraction) -> str | None:
     """None when definable; otherwise a reason, distinguishing non-closedness."""
-    if d == 0 or d == s.full_mask:
+    fail = _failure(s, d, r_min)
+    if fail is None:
         return None
-    if not is_closed(s, d):
-        missing = closure(s, d) & ~d
-        return f"not closed: missing cells {members(missing)}"
-    for r in thresholds(s, r_min):
-        if d & ~interior(s, expand(s, d, r)):
-            bad = d & ~interior(s, expand(s, d, r))
-            x = next(bits(bad))
-            return f"fails containment in int(expand) at threshold {r} (cell {x})"
-    return None
+    r, where = fail
+    if r is None:
+        return f"not closed: missing cells {members(where)}"
+    return f"fails containment in int(expand) at threshold {r} (cell {where})"
 
 
 def is_definable(s: DiscreteSpace, d: int, r_min: Fraction) -> bool:
@@ -215,14 +314,7 @@ def is_definable(s: DiscreteSpace, d: int, r_min: Fraction) -> bool:
     """
     if r_min < 0:
         raise ValueError("r_min must be nonnegative")
-    if d == 0 or d == s.full_mask:
-        return True
-    if not is_closed(s, d):
-        return False
-    for r in thresholds(s, r_min):
-        if d & ~interior(s, expand(s, d, r)):
-            return False
-    return True
+    return _failure(s, d, r_min) is None
 
 
 def openness_thresholds(s: DiscreteSpace, r_min: Fraction) -> list[Fraction]:
@@ -360,7 +452,7 @@ def all_closed_sets(s: DiscreteSpace, budget: int) -> list[int]:
         raise BudgetExceeded(
             f"2^{s.n} closed-set candidates exceed the budget of {budget}"
         )
-    cl = s.closure_masks()
+    cl = _view(s).closure
     out = []
     for mask in range(1 << s.n):
         c = mask
@@ -400,7 +492,7 @@ def random_closed_sets(s: DiscreteSpace, count: int, seed: int) -> list[int]:
     import random
 
     rng = random.Random(seed)
-    cl = s.closure_masks()
+    cl = _view(s).closure
     probs = [0.15, 0.3, 0.5, 0.7, 0.85]
     out = []
     for k in range(count):

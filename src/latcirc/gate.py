@@ -9,7 +9,7 @@ survive, with all distances exact Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -251,44 +251,25 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
     )
 
 
-def discretize(n: int) -> DiscretizedComplex:
-    """The plain gate; terminal cells are tagged in1, in2, out."""
-    dc = build_complex([("in1", "in2", "out")], n, ("in1", "in2", "out"))
-    # retag the three terminals with their markers
+def _retagged(dc: DiscretizedComplex, labels) -> DiscretizedComplex:
+    """The complex with each listed terminal's cell tagged by its label."""
     cells = list(dc.space.cells)
-    for label in ("in1", "in2", "out"):
+    for label in labels:
         cid = dc.terminals[label]
         cells[cid] = Cell(cid, 0, label)
-    space = DiscreteSpace(
-        tuple(cells),
-        dc.space.min_open,
-        dc.space.dist,
-        dc.space.slices,
-        dc.space.resolution,
-    )
-    return DiscretizedComplex(
-        space, dc.edges, dc.vertices, dc.terminals, dc.terminal_order, dc.reps, n
-    )
+    return replace(dc, space=replace(dc.space, cells=tuple(cells)))
+
+
+def discretize(n: int) -> DiscretizedComplex:
+    """The plain gate; terminal cells are tagged in1, in2, out."""
+    labels = ("in1", "in2", "out")
+    return _retagged(build_complex([labels], n, labels), labels)
 
 
 def discretize_dagger(n: int) -> DiscretizedComplex:
     """The gate with both inputs soldered together; merged node tagged g."""
-    dc = build_complex([("g", "g", "out")], n, ("g", "out"))
-    cells = list(dc.space.cells)
-    gid = dc.terminals["g"]
-    oid = dc.terminals["out"]
-    cells[gid] = Cell(gid, 0, "g")
-    cells[oid] = Cell(oid, 0, "out")
-    space = DiscreteSpace(
-        tuple(cells),
-        dc.space.min_open,
-        dc.space.dist,
-        dc.space.slices,
-        dc.space.resolution,
-    )
-    return DiscretizedComplex(
-        space, dc.edges, dc.vertices, dc.terminals, dc.terminal_order, dc.reps, n
-    )
+    labels = ("g", "out")
+    return _retagged(build_complex([("g", "g", "out")], n, labels), labels)
 
 
 def edge_mask(dc: DiscretizedComplex, name: str) -> int:
@@ -349,7 +330,7 @@ def saturated_count(dc: DiscretizedComplex, cap: int | None = None) -> int:
             return cap + 1  # each subset contributes at least one candidate
     total = 0
     for pinned in acc:
-        total += 1 << (nv - bin(pinned).count("1"))
+        total += 1 << (nv - pinned.bit_count())
         if cap is not None and total > cap:
             return cap + 1
     return total
@@ -403,8 +384,8 @@ def oracle(
     cheaply, and it factorizes: extra vertices are 0-cells, whose witness
     distances live entirely on same-x 1-cell pairs fixed by the edge choice.
     So each edge subset is vetted once, individually addable free vertices
-    are computed once, and only the survivors get the full multi-threshold
-    is_definable confirmation.
+    are computed once, and only the survivors get the full is_definable
+    confirmation.
     """
     if r_min is None:
         r_min = dc.r_min
@@ -414,17 +395,10 @@ def oracle(
         raise BudgetExceeded(
             f"saturated family exceeds the budget of {budget}"
         )
-    rstar = None
-    for v in finspace.distance_values(s):
-        if v > r_min:
-            rstar = v
-            break
-    near_mask = [0] * s.n
+    binding = finspace.thresholds(s, r_min)
+    rstar = binding[0] if binding else None
     if rstar is not None:
-        for (a, b), d in s.dist.items():
-            if d < rstar:
-                near_mask[a] |= 1 << b
-                near_mask[b] |= 1 << a
+        near_mask = finspace.near_masks(s, rstar)
     need_edge = []
     for e in dc.edges:
         m = 0

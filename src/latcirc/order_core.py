@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .finspace import bits
+
 
 class OrderError(ValueError):
     """Bad order-theoretic input: duplicate labels, cycles, missing bounds."""
@@ -12,19 +14,6 @@ class OrderError(ValueError):
 
 class LatticeError(OrderError):
     """A poset lacks the meets or joins needed for the requested structure."""
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,7 @@ class Poset:
                     )
         for i in range(n):
             acc = self.up[i]
-            for j in _bits(self.up[i]):
+            for j in bits(self.up[i]):
                 acc |= self.up[j]
             if acc != self.up[i]:
                 raise OrderError(f"leq not transitive at {self.elements[i]!r}")
@@ -82,12 +71,12 @@ class Poset:
         """Bitmask per element j of everything below-or-equal j."""
         down = [0] * self.n
         for i in range(self.n):
-            for j in _bits(self.up[i]):
+            for j in bits(self.up[i]):
                 down[j] |= 1 << i
         return tuple(down)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in _bits(self.up[i])]
+        return [(i, j) for i in range(self.n) for j in bits(self.up[i])]
 
     def covers(self) -> list[tuple[int, int]]:
         """Hasse diagram edges (i, j) with j covering i."""
@@ -160,8 +149,19 @@ def parse_poset(text) -> Poset:
     data = json.loads(text) if isinstance(text, (str, bytes)) else text
     if not isinstance(data, dict) or "elements" not in data:
         raise OrderError("input must be a JSON object with an 'elements' list")
-    pairs = data.get("covers", data.get("leq", []))
-    return poset_from_pairs(data["elements"], pairs)
+    elements = data["elements"]
+    if not isinstance(elements, list) or not all(
+        isinstance(e, str) for e in elements
+    ):
+        raise OrderError("'elements' must be a list of string labels")
+    key = "covers" if "covers" in data else "leq"
+    pairs = data.get(key, [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p)
+        for p in pairs
+    ):
+        raise OrderError(f"'{key}' must be a list of [label, label] pairs")
+    return poset_from_pairs(elements, pairs)
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def as_lattice(p: Poset) -> FiniteLattice:
             lower = down[i] & down[j]
             # greatest lower bound: the member of `lower` above all of `lower`
             m = None
-            for k in _bits(lower):
+            for k in bits(lower):
                 if lower & ~down[k] == 0:
                     m = k
                     break
@@ -219,7 +219,7 @@ def as_lattice(p: Poset) -> FiniteLattice:
                 )
             upper = up[i] & up[j]
             jn = None
-            for k in _bits(upper):
+            for k in bits(upper):
                 if upper & ~up[k] == 0:
                     jn = k
                     break
@@ -268,7 +268,7 @@ def as_meet_semilattice(p: Poset) -> MeetSemilattice:
         for j in range(i, n):
             lower = down[i] & down[j]
             m = None
-            for k in _bits(lower):
+            for k in bits(lower):
                 if lower & ~down[k] == 0:
                     m = k
                     break
@@ -290,7 +290,7 @@ def as_meet_semilattice(p: Poset) -> MeetSemilattice:
 def is_filter(m: MeetSemilattice, members: frozenset[int]) -> bool:
     """Up-closed and meet-closed; the empty set counts (vacuously)."""
     for a in members:
-        if any(b not in members for b in _bits(m.poset.up[a])):
+        if any(b not in members for b in bits(m.poset.up[a])):
             return False
     for a in members:
         for b in members:
@@ -307,26 +307,26 @@ def filters(m: MeetSemilattice, include_empty: bool = False) -> list[frozenset[i
         if mask == 0 and not include_empty:
             continue
         ok = True
-        for a in _bits(mask):
+        for a in bits(mask):
             if m.poset.up[a] & ~mask:
                 ok = False
                 break
         if not ok:
             continue
-        for a in _bits(mask):
-            for b in _bits(mask):
+        for a in bits(mask):
+            for b in bits(mask):
                 if not mask >> m.meet[a][b] & 1:
                     ok = False
                     break
             if not ok:
                 break
         if ok:
-            out.append(frozenset(_bits(mask)))
+            out.append(frozenset(bits(mask)))
     return out
 
 
 def principal_filter(m: MeetSemilattice, a: int) -> frozenset[int]:
-    return frozenset(_bits(m.poset.up[a]))
+    return frozenset(bits(m.poset.up[a]))
 
 
 def generated_filter(m: MeetSemilattice, seed) -> frozenset[int]:
@@ -336,7 +336,7 @@ def generated_filter(m: MeetSemilattice, seed) -> frozenset[int]:
     while changed:
         changed = False
         for a in list(cur):
-            for b in _bits(m.poset.up[a]):
+            for b in bits(m.poset.up[a]):
                 if b not in cur:
                     cur.add(b)
                     changed = True
@@ -387,8 +387,8 @@ def _profiles(l: FiniteLattice) -> list[tuple]:
         dn_cov[j] += 1
     return [
         (
-            _popcount(down[i]),
-            _popcount(l.poset.up[i]),
+            down[i].bit_count(),
+            l.poset.up[i].bit_count(),
             up_cov[i],
             dn_cov[i],
             i == l.bottom,
@@ -519,7 +519,7 @@ def all_posets_up_to_iso(n: int) -> list[Poset]:
         canon = min(
             tuple(
                 sorted(
-                    sum(1 << perm[j] for j in _bits(up[i])) << n | 1 << perm[i]
+                    sum(1 << perm[j] for j in bits(up[i])) << n | 1 << perm[i]
                     for i in range(n)
                 )
             )

@@ -28,9 +28,14 @@ def v_file(tmp_path):
 
 
 def run(capsys, *argv):
+    code, rep, _ = run_err(capsys, *argv)
+    return code, rep
+
+
+def run_err(capsys, *argv):
     code = cli.main(list(argv))
-    out = capsys.readouterr().out
-    return code, json.loads(out)
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out), captured.err
 
 
 class TestVerifyLattice:
@@ -63,6 +68,32 @@ class TestVerifyLattice:
         code, rep = run(capsys, "verify-lattice", "/nonexistent.json")
         assert code == 2
 
+    def test_oracle_without_thresholds_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "c2.json"
+        p.write_text(json.dumps(CHAIN2))
+        code, rep, err = run_err(capsys, "verify-lattice", str(p), "--oracle", "2")
+        assert code == 2 and rep["verdict"] == "error"
+        assert "--oracle 3" in rep["error"]
+        assert err.count("\n") == 1
+
+
+class TestMalformedLattice:
+    @pytest.mark.parametrize("data", [{"elements": 5}, {"elements": [["x"]]}])
+    @pytest.mark.parametrize("command", ["verify-lattice", "filters"])
+    def test_exits_2_with_one_line(self, capsys, tmp_path, command, data):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        code, rep, err = run_err(capsys, command, str(p))
+        assert code == 2 and rep["verdict"] == "error"
+        assert "'elements'" in rep["error"]
+        assert err.count("\n") == 1
+
+    def test_malformed_pairs(self, capsys, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"elements": ["x"], "covers": [[["x"], "x"]]}))
+        code, rep, _ = run_err(capsys, "verify-lattice", str(p))
+        assert code == 2 and "'covers'" in rep["error"]
+
 
 class TestGateOracle:
     def test_plain_n4(self, capsys):
@@ -78,6 +109,20 @@ class TestGateOracle:
     def test_n1_exits_2(self, capsys):
         code, rep = run(capsys, "gate-oracle", "--n", "1")
         assert code == 2
+
+    def test_n2_default_floor_exits_2(self, capsys):
+        code, rep, err = run_err(capsys, "gate-oracle", "--n", "2")
+        assert code == 2 and rep["verdict"] == "error"
+        assert "--r-min" in rep["error"]
+        assert err.count("\n") == 1
+
+    def test_n2_with_smaller_floor(self, capsys):
+        code, rep = run(capsys, "gate-oracle", "--n", "2", "--r-min", "1/4")
+        assert code == 0 and rep["results"]["definables"] == 7
+
+    def test_floor_above_every_threshold_exits_2(self, capsys):
+        code, rep = run(capsys, "gate-oracle", "--n", "4", "--r-min", "1")
+        assert code == 2 and "--r-min" in rep["error"]
 
     def test_probes_clean(self, capsys):
         code, rep = run(

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcirc import finspace as fs
 from latcirc import gate
@@ -143,6 +145,102 @@ class TestIsDefinable:
         if passing:
             first = vals.index(passing[0])
             assert passing == vals[first:]
+
+
+@st.composite
+def small_spaces(draw):
+    """A random preorder as the Alexandrov base and a truncated line metric.
+
+    Cells sit at distinct points k/8 of one of two lines; a pair on one line
+    is at min(1, |p - q|), every other pair at 1, which is always a metric.
+    """
+    n = draw(st.integers(1, 6))
+    up = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and draw(st.booleans()) and draw(st.booleans()):
+                up[i] |= 1 << j
+    for k in range(n):  # transitive closure
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    line = [draw(st.integers(0, 1)) for _ in range(n)]
+    pos = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n, unique=True))
+    dist = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = F(abs(pos[i] - pos[j]), 8)
+            if line[i] == line[j] and d < 1:
+                dist[(i, j)] = d
+    cells = tuple(Cell(i, 0) for i in range(n))
+    return DiscreteSpace(cells, tuple(up), dist)
+
+
+def naive_why_not(s, d, r_min):
+    """The definition read literally: closed, and inside int(expand(d, r)) for
+    every distance value r in (r_min, 1], each recomputed from dist."""
+    if d == 0 or d == s.full_mask:
+        return None
+    inside = [x for x in range(s.n) if d >> x & 1]
+    closure = d
+    for y in range(s.n):
+        if any(s.min_open[y] >> x & 1 for x in inside):
+            closure |= 1 << y
+    if closure != d:
+        missing = tuple(y for y in range(s.n) if closure >> y & 1 and not d >> y & 1)
+        return f"not closed: missing cells {missing}"
+    values = sorted({s.distance(i, j) for i in range(s.n) for j in range(i + 1, s.n)})
+    for r in values:
+        if not r_min < r <= 1:
+            continue
+        grown = d
+        for y in range(s.n):
+            if any(s.distance(x, y) < r for x in inside):
+                grown |= 1 << y
+        for x in inside:
+            if s.min_open[x] & ~grown:
+                return f"fails containment in int(expand) at threshold {r} (cell {x})"
+    return None
+
+
+class TestKernelMatchesDefinition:
+    @settings(max_examples=80, deadline=None)
+    @given(small_spaces(), st.integers(0, 16))
+    def test_every_mask(self, s, r16):
+        assert fs.validate(s) == []
+        r_min = F(r16, 16)
+        for d in range(1 << s.n):
+            want = naive_why_not(s, d, r_min)
+            assert fs.why_not_definable(s, d, r_min) == want
+            assert fs.is_definable(s, d, r_min) == (want is None)
+
+
+class TestCompiledViewIsInvisible:
+    def test_equality_repr_and_round_trip(self):
+        s = gate.discretize_dagger(3).space
+        fresh = fs.from_json(fs.to_json(s))
+        before = repr(s)
+        for d in fs.random_closed_sets(s, 20, seed=2):
+            fs.is_definable(s, d, F(2, 3))
+        assert s == fresh and fresh == s
+        assert repr(s) == before and "View" not in before
+        assert fs.from_json(fs.to_json(s)) == s
+        assert fs.to_json(s) == fs.to_json(fresh)
+
+    def test_two_floors_on_one_space(self):
+        dg = gate.discretize(4)
+        pool = [gate.state_to_cells(dg, state) for state in gate.allowed_states()]
+        pool += fs.random_closed_sets(dg.space, 40, seed=5)
+        floors = (F(0), F(1, 4))
+        want = {
+            r: [fs.is_definable(gate.discretize(4).space, d, r) for d in pool]
+            for r in floors
+        }
+        assert want[floors[0]] != want[floors[1]]
+        shared = dg.space
+        for _ in range(2):
+            for r in floors:
+                assert [fs.is_definable(shared, d, r) for d in pool] == want[r]
 
 
 class TestIsOpenMetric:
