@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import gate as gate_mod
-from .order_core import FiniteLattice, MeetSemilattice, filters
+from .order_core import FiniteLattice, MeetSemilattice, closed_sets, filters, horn_closure
 
 
 @dataclass(frozen=True)
@@ -43,44 +43,6 @@ def satisfies(c: Circuit, a: Assignment) -> bool:
     )
 
 
-def _off_closure(off: int, rules) -> int:
-    changed = True
-    while changed:
-        changed = False
-        for i, j, k in rules:
-            if off >> i & 1 and off >> j & 1 and not off >> k & 1:
-                off |= 1 << k
-                changed = True
-    return off
-
-
-def _all_closed_off_sets(n: int, rules) -> list[int]:
-    """Every rule-closed subset, by Next-Closure in lectic order."""
-
-    def cl(s: int) -> int:
-        return _off_closure(s, rules)
-
-    out = []
-    a = cl(0)
-    out.append(a)
-    while True:
-        nxt = None
-        for i in range(n - 1, -1, -1):
-            bit = 1 << i
-            if a & bit:
-                a &= ~bit
-            else:
-                b = cl(a | bit)
-                if not (b & ~a) & (bit - 1):
-                    nxt = b
-                    break
-        if nxt is None:
-            break
-        a = nxt
-        out.append(a)
-    return out
-
-
 def definable_assignments(c: Circuit) -> list[Assignment]:
     """All node membership maps satisfying every gate, canonically ordered.
 
@@ -88,7 +50,8 @@ def definable_assignments(c: Circuit) -> list[Assignment]:
     from a closure-system enumeration rather than a 2^nodes scan.
     """
     full = (1 << c.n) - 1
-    offs = _all_closed_off_sets(c.n, c.gates)
+    close = horn_closure(c.n, [(i, j, 1 << k) for i, j, k in c.gates])
+    offs = closed_sets(c.n, close)
     assignments = []
     for off in offs:
         mem = full & ~off
@@ -146,49 +109,44 @@ def build_full(l: FiniteLattice) -> Circuit:
     return Circuit(_node_labels(l), _reindex(l, triples), ("full", l, tuple(triples)))
 
 
+def _first_gap(l: FiniteLattice, triples) -> int | None:
+    """Where forward chaining on the chosen rules falls short, or None.
+
+    Walks the pairs {a, b} of non-top nodes in index order and returns, as a
+    node-position bitmask, the closure of the first pair that misses a node
+    c >= a ^ b.
+    """
+    lm = l.nontop()
+    pos = {a: i for i, a in enumerate(lm)}
+    close = horn_closure(
+        len(lm), [(pos[a], pos[b], 1 << pos[c]) for a, b, c in triples]
+    )
+    low = (1 << l.top) - 1
+    for i, a in enumerate(lm):
+        for j in range(i, len(lm)):
+            up = l.poset.up[l.meet[a][lm[j]]]
+            need = up & low | up >> l.top + 1 << l.top  # as node positions
+            got = close(1 << i | 1 << j)
+            if need & ~got:
+                return got
+    return None
+
+
 def is_adequate(l: FiniteLattice, triples) -> bool:
     """Forward chaining on the chosen rules derives every qualifying rule.
 
     For each qualifying (a, b, c), chaining from {off(a), off(b)} must reach
     off(c); that is exactly what pins the filter correspondence.
     """
-    lm = l.nontop()
-    pos = {a: i for i, a in enumerate(lm)}
-    rules = [(pos[a], pos[b], pos[c]) for a, b, c in triples]
-    closure_cache: dict[int, int] = {}
-
-    def closed_from(seed: int) -> int:
-        if seed not in closure_cache:
-            closure_cache[seed] = _off_closure(seed, rules)
-        return closure_cache[seed]
-
-    for a, b, c in qualifying_triples(l):
-        seed = 1 << pos[a] | 1 << pos[b]
-        if not closed_from(seed) >> pos[c] & 1:
-            return False
-    return True
-
-
-def _necessary_heads(l: FiniteLattice) -> set[int]:
-    """Heads any adequate set must contain, via derivations that must add them.
-
-    If some qualifying (a, b, c) has c outside the chained start {a, b} under
-    the full rule set's trivial start, c must be produced by a rule with head
-    c; distinct required heads lower-bound the adequate-set size.
-    """
-    heads = set()
-    for a, b, c in qualifying_triples(l):
-        if c not in (a, b):
-            heads.add(c)
-    return heads
+    return _first_gap(l, triples) is None
 
 
 def build_minimal(l: FiniteLattice, mode: str = "exact") -> Circuit:
     """An adequate presentation; exact mode returns a minimum-cardinality one.
 
-    Exact search walks subset sizes upward from a sound lower bound (each
-    required head needs its own rule) and, below the bound, verifies
-    exhaustively that no smaller adequate subset exists.
+    Exact search deepens the size limit from a sound lower bound: every node
+    c that some qualifying (a, b, c) has outside {a, b} needs a rule with head
+    c.  The first adequate set found is then a minimum.
     """
     if l.n < 2:
         raise ValueError("trivial lattice: circuits need at least two elements")
@@ -210,43 +168,45 @@ def build_minimal(l: FiniteLattice, mode: str = "exact") -> Circuit:
 
 
 def _exact_minimal(l, all_triples):
-    if is_adequate(l, ()):
-        return ()
-    bound = len(_necessary_heads(l) & {c for _, _, c in all_triples})
-    # candidate rules for a head are interchangeable only as a pool; group them
-    by_head: dict[int, list] = {}
-    for t in all_triples:
-        by_head.setdefault(t[2], []).append(t)
-    for size in range(max(1, bound), len(all_triples) + 1):
-        if size == bound and bound >= 1:
-            found = _search_with_heads(l, by_head, bound)
+    """Iterative deepening over the rules that can close the first open gap.
+
+    Any adequate superset of the chosen rules must use a rule whose premises
+    lie in the gap's closure and whose head does not, so those rules are the
+    branches; a rule tried in one branch is barred from its later siblings.
+    (a, b, c) and (b, a, c) are the same rule, so only the first is kept.  A
+    branch also stops once the required heads it has not covered, one rule
+    each, no longer fit below the depth.
+    """
+    pos = {a: i for i, a in enumerate(l.nontop())}
+    rules = [
+        (t, 1 << pos[t[0]] | 1 << pos[t[1]], 1 << pos[t[2]])
+        for t in all_triples
+        if t[0] <= t[1]
+    ]
+    required = {c for a, b, c in all_triples if c not in (a, b)}
+
+    def search(chosen: list, barred: set, depth: int):
+        gap = _first_gap(l, chosen)
+        if gap is None:
+            return chosen
+        missing = len(required - {c for _, _, c in chosen})
+        if len(chosen) + max(1, missing) > depth:
+            return None
+        barred = set(barred)
+        for t, premises, head in rules:
+            if t in barred or premises & ~gap or head & gap:
+                continue
+            found = search(chosen + [t], barred, depth)
             if found is not None:
                 return found
-            continue
-        for subset in combinations(all_triples, size):
-            if is_adequate(l, subset):
-                return subset
+            barred.add(t)
+        return None
+
+    for depth in range(len(required), len(rules) + 1):
+        found = search([], set(), depth)
+        if found is not None:
+            return tuple(t for t in all_triples if t in found)
     return tuple(all_triples)
-
-
-def _search_with_heads(l, by_head, size):
-    """Exactly one rule per required head (sizes match, heads are forced)."""
-    heads = sorted(_necessary_heads(l))
-    if len(heads) != size:
-        return None
-
-    def pick(idx: int, acc: list):
-        if idx == len(heads):
-            return tuple(acc) if is_adequate(l, acc) else None
-        for t in by_head.get(heads[idx], ()):
-            acc.append(t)
-            got = pick(idx + 1, acc)
-            if got is not None:
-                return got
-            acc.pop()
-        return None
-
-    return pick(0, [])
 
 
 def smaller_adequate_exists(l: FiniteLattice, size: int) -> bool:

@@ -109,6 +109,8 @@ def cmd_gate_oracle(args) -> int:
     started = time.time()
     if args.n < 2:
         raise InputError(f"subdivision n must be >= 2, got {args.n}")
+    if args.probes < 0:
+        raise InputError(f"--probes must be >= 0, got {args.probes}")
     flags = {
         "variant": args.variant,
         "n": args.n,
@@ -167,8 +169,9 @@ def cmd_tower(args) -> int:
     assignments = circuit_mod.definable_assignments(circ)
     expected = args.n + 4 if kind is tower.TowerKind.EXACT_PAIR else args.n + 2
     fam = tower.limit_definables(kind)
+    assignment_set = set(assignments)
     coherent = all(
-        tower.restrict(d, args.n) in set(assignments)
+        tower.restrict(d, args.n) in assignment_set
         for d in fam.elements(args.n + 2)
     )
     ok = len(assignments) == expected and coherent

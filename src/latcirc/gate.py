@@ -348,19 +348,11 @@ def saturated_candidates(dc: DiscretizedComplex, budget: int = 1 << 20):
         raise BudgetExceeded(
             f"saturated family exceeds the budget of {budget}"
         )
-    vlist = list(dc.vertices)
-    for emask in range(1 << len(dc.edges)):
-        base = 0
-        pinned = set()
-        for ei in bits(emask):
-            base |= dc.edges[ei].closure_mask
-            pinned.update(dc.edges[ei].endpoints)
-        free = [v for v in vlist if v not in pinned]
-        for fmask in range(1 << len(free)):
-            d = base
-            for k in bits(fmask):
-                d |= 1 << free[k]
-            yield d
+    bases = _doubled(0, [e.closure_mask for e in dc.edges])
+    pinneds = _doubled(0, _endpoint_vmasks(dc))
+    for base, pinned in zip(bases, pinneds):
+        free = [v for i, v in enumerate(dc.vertices) if not pinned >> i & 1]
+        yield from _doubled(base, [1 << v for v in free])
 
 
 @dataclass(frozen=True)
@@ -441,10 +433,7 @@ def oracle(
                     addable.append(v)
         else:
             addable = free
-        for fmask in range(1 << len(addable)):
-            d = base
-            for k in bits(fmask):
-                d |= 1 << addable[k]
+        for d in _doubled(base, [1 << v for v in addable]):
             if finspace.is_definable(s, d, r_min):
                 definable.append(d)
     definable.sort()

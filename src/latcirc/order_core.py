@@ -193,6 +193,18 @@ class FiniteLattice:
         return MeetSemilattice(self.poset, self.meet, self.bottom)
 
 
+def _bound(p: Poset, masks, i: int, j: int, kind: str) -> int:
+    """The member of ``masks[i] & masks[j]`` whose own mask holds all of them.
+
+    On down masks that is the meet of i and j, on up masks their join.
+    """
+    common = masks[i] & masks[j]
+    for k in bits(common):
+        if common & ~masks[k] == 0:
+            return k
+    raise LatticeError(f"no {kind} for pair ({p.elements[i]!r}, {p.elements[j]!r})")
+
+
 def as_lattice(p: Poset) -> FiniteLattice:
     """Check every pair for a meet and join; fill the tables and bounds.
 
@@ -201,34 +213,12 @@ def as_lattice(p: Poset) -> FiniteLattice:
     """
     n = p.n
     down = p.down_masks()
-    up = p.up
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lower = down[i] & down[j]
-            # greatest lower bound: the member of `lower` above all of `lower`
-            m = None
-            for k in bits(lower):
-                if lower & ~down[k] == 0:
-                    m = k
-                    break
-            if m is None:
-                raise LatticeError(
-                    f"no meet for pair ({p.elements[i]!r}, {p.elements[j]!r})"
-                )
-            upper = up[i] & up[j]
-            jn = None
-            for k in bits(upper):
-                if upper & ~up[k] == 0:
-                    jn = k
-                    break
-            if jn is None:
-                raise LatticeError(
-                    f"no join for pair ({p.elements[i]!r}, {p.elements[j]!r})"
-                )
-            meet[i][j] = meet[j][i] = m
-            join[i][j] = join[j][i] = jn
+            meet[i][j] = meet[j][i] = _bound(p, down, i, j, "meet")
+            join[i][j] = join[j][i] = _bound(p, p.up, i, j, "join")
     bottom = 0
     top = 0
     for i in range(1, n):
@@ -266,21 +256,70 @@ def as_meet_semilattice(p: Poset) -> MeetSemilattice:
     meet = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lower = down[i] & down[j]
-            m = None
-            for k in bits(lower):
-                if lower & ~down[k] == 0:
-                    m = k
-                    break
-            if m is None:
-                raise LatticeError(
-                    f"no meet for pair ({p.elements[i]!r}, {p.elements[j]!r})"
-                )
-            meet[i][j] = meet[j][i] = m
+            meet[i][j] = meet[j][i] = _bound(p, down, i, j, "meet")
     bottom = 0
     for i in range(1, n):
         bottom = meet[bottom][i]
     return MeetSemilattice(p, tuple(map(tuple, meet)), bottom)
+
+
+# ---------------------------------------------------------------------------
+# Horn closure systems
+
+
+def horn_closure(n: int, rules):
+    """The closure operator of Horn rules over elements 0..n-1, on bitmasks.
+
+    A rule ``(a, b, heads)`` adds the ``heads`` mask once ``a`` and ``b`` are
+    both in the set; ``a == b`` makes it a one-premise rule.  Rules are indexed
+    under their premises once, and the returned closure runs a worklist: each
+    element that enters the set looks only at its own rules.
+    """
+    single = [0] * n
+    paired: list[dict[int, int]] = [{} for _ in range(n)]
+    for a, b, heads in rules:
+        if a == b:
+            single[a] |= heads
+        else:
+            paired[a][b] = paired[a].get(b, 0) | heads
+            paired[b][a] = paired[b].get(a, 0) | heads
+    paired_items = [tuple(d.items()) for d in paired]
+
+    def close(s: int) -> int:
+        todo = s
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            x = low.bit_length() - 1
+            new = single[x]
+            for y, heads in paired_items[x]:
+                if s >> y & 1:
+                    new |= heads
+            new &= ~s
+            s |= new
+            todo |= new
+        return s
+
+    return close
+
+
+def closed_sets(n: int, close) -> list[int]:
+    """Every closed subset of 0..n-1, by Next-Closure (Ganter) in lectic order."""
+    a = close(0)
+    out = [a]
+    while True:
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if a & bit:
+                a &= ~bit
+                continue
+            b = close(a | bit)
+            if not (b & ~a) & (bit - 1):
+                a = b
+                out.append(a)
+                break
+        else:
+            return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,30 +338,27 @@ def is_filter(m: MeetSemilattice, members: frozenset[int]) -> bool:
     return True
 
 
+def _filter_closure(m: MeetSemilattice):
+    """Filter generation as a Horn closure: a => up(a), and a, b => a ^ b.
+
+    Meets of comparable pairs are already in the up-set, so only incomparable
+    pairs get a rule.
+    """
+    up = m.poset.up
+    rules = [(a, a, up[a]) for a in range(m.n)]
+    rules += [
+        (a, b, 1 << m.meet[a][b])
+        for a in range(m.n)
+        for b in range(a + 1, m.n)
+        if not (up[a] >> b & 1 or up[b] >> a & 1)
+    ]
+    return horn_closure(m.n, rules)
+
+
 def filters(m: MeetSemilattice, include_empty: bool = False) -> list[frozenset[int]]:
     """All filters of ``m``, in ascending element-index-bitmask order."""
-    n = m.n
-    out = []
-    for mask in range(1 << n):
-        if mask == 0 and not include_empty:
-            continue
-        ok = True
-        for a in bits(mask):
-            if m.poset.up[a] & ~mask:
-                ok = False
-                break
-        if not ok:
-            continue
-        for a in bits(mask):
-            for b in bits(mask):
-                if not mask >> m.meet[a][b] & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(frozenset(bits(mask)))
-    return out
+    masks = sorted(closed_sets(m.n, _filter_closure(m)))
+    return [frozenset(bits(mask)) for mask in masks if mask or include_empty]
 
 
 def principal_filter(m: MeetSemilattice, a: int) -> frozenset[int]:
@@ -330,23 +366,11 @@ def principal_filter(m: MeetSemilattice, a: int) -> frozenset[int]:
 
 
 def generated_filter(m: MeetSemilattice, seed) -> frozenset[int]:
-    """Smallest filter containing ``seed`` (up-closure then meet-closure)."""
-    cur = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(cur):
-            for b in bits(m.poset.up[a]):
-                if b not in cur:
-                    cur.add(b)
-                    changed = True
-        for a in list(cur):
-            for b in list(cur):
-                c = m.meet[a][b]
-                if c not in cur:
-                    cur.add(c)
-                    changed = True
-    return frozenset(cur)
+    """Smallest filter containing ``seed``."""
+    mask = 0
+    for a in seed:
+        mask |= 1 << a
+    return frozenset(bits(_filter_closure(m)(mask)))
 
 
 def filter_label(m: MeetSemilattice, members: frozenset[int]) -> str:

@@ -109,6 +109,57 @@ class TestBuildMinimal:
         assert cc.is_adequate(lat, triples)
 
 
+def _lattice(elements, covers):
+    return oc.as_lattice(
+        oc.poset_from_pairs(list(elements), [tuple(c) for c in covers.split()])
+    )
+
+
+# One lattice per isomorphism class of 2 to 5 elements, with the minimum
+# presentation size an exhaustive subset search gives for it.
+MINIMUM_SIZES = [
+    ("chain2", oc.chain(2), 0),
+    ("chain3", oc.chain(3), 1),
+    ("chain4", oc.chain(4), 2),
+    ("b2", _lattice("0ab1", "0a 0b a1 b1"), 3),
+    ("chain5", oc.chain(5), 3),
+    ("m3", oc.m3(), 5),
+    ("n5", oc.n5(), 4),
+    ("b2_low", _lattice("0tab1", "0t ta tb a1 b1"), 4),
+    ("b2_high", _lattice("0abt1", "0a 0b at bt t1"), 5),
+]
+# the exhaustive check below size 5 takes well over a second on these two
+EXHAUSTIVE_TOO_SLOW = {"m3", "b2_high"}
+
+
+class TestExactMinimal:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_corpus_sizes(self, k):
+        for lat in oc.all_lattices_up_to_iso(k):
+            [(name, size)] = [
+                (name, size)
+                for name, ref, size in MINIMUM_SIZES
+                if oc.iso(lat, ref) is not None
+            ]
+            c = cc.build_minimal(lat, "exact")
+            assert len(c.gates) == size, name
+            assert cc.is_adequate(lat, c.origin[2])
+            if name not in EXHAUSTIVE_TOO_SLOW:
+                assert not cc.smaller_adequate_exists(lat, size)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_chain_is_one_rule_per_cover(self, k):
+        # the only minimum, so discretized chain circuits keep their gates
+        c = cc.build_minimal(oc.chain(k), "exact")
+        assert c.origin[2] == tuple((i, i, i + 1) for i in range(k - 2))
+
+    def test_triples_in_qualifying_order(self):
+        lat = oc.m3()
+        triples = cc.build_minimal(lat, "exact").origin[2]
+        order = cc.qualifying_triples(lat)
+        assert list(triples) == sorted(triples, key=order.index)
+
+
 class TestDefinableAssignments:
     @pytest.mark.parametrize(
         "lat,count", [(oc.chain(2), 2), (oc.chain(3), 3), (oc.n5(), 5), (oc.m3(), 5)]

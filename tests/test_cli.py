@@ -124,6 +124,12 @@ class TestGateOracle:
         code, rep = run(capsys, "gate-oracle", "--n", "4", "--r-min", "1")
         assert code == 2 and "--r-min" in rep["error"]
 
+    def test_negative_probes_exits_2(self, capsys):
+        code, rep, err = run_err(capsys, "gate-oracle", "--n", "4", "--probes", "-3")
+        assert code == 2 and rep["verdict"] == "error"
+        assert "--probes" in rep["error"]
+        assert err.count("\n") == 1
+
     def test_probes_clean(self, capsys):
         code, rep = run(
             capsys, "gate-oracle", "--n", "3", "--probes", "25", "--seed", "1"

@@ -249,3 +249,39 @@ def test_generated_filter_is_smallest(p):
             gen = oc.generated_filter(m, f | g)
             assert oc.is_filter(m, gen)
             assert all(gen <= h for h in fs if f | g <= h)
+
+
+@st.composite
+def horn_systems(draw):
+    """Random rule sets over up to eight elements: one- and two-premise rules
+    (a == b or not), multi-bit heads, and the empty rule set."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    if n == 0:
+        return 0, []
+    elem = st.integers(min_value=0, max_value=n - 1)
+    rule = st.tuples(elem, elem, st.integers(min_value=0, max_value=(1 << n) - 1))
+    return n, draw(st.lists(rule, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(horn_systems())
+def test_closed_sets_match_a_full_scan(system):
+    n, rules = system
+
+    def closed(s):
+        return all(
+            heads & ~s == 0 for a, b, heads in rules if s >> a & 1 and s >> b & 1
+        )
+
+    scan = [s for s in range(1 << n) if closed(s)]
+    close = oc.horn_closure(n, rules)
+    got = oc.closed_sets(n, close)
+    assert sorted(got) == scan
+    # lectic order: the smallest element where two sets differ is in the later one
+    assert got == sorted(got, key=lambda s: [s >> i & 1 for i in range(n)])
+    for s in range(0, 1 << n, max(1, (1 << n) // 16)):
+        least = (1 << n) - 1
+        for t in scan:
+            if s & ~t == 0:
+                least &= t
+        assert close(s) == least
