@@ -37,9 +37,10 @@ class Circuit:
 Assignment = tuple  # 0/1 membership per node index
 
 
-def satisfies(c: Circuit, a: Assignment) -> bool:
+def satisfies(gates, a: Assignment) -> bool:
+    """Whether ``a`` obeys every gate triple (i, j, k): x_i, x_j off => x_k off."""
     return all(
-        not (a[i] == 0 and a[j] == 0 and a[k] == 1) for i, j, k in c.gates
+        not (a[i] == 0 and a[j] == 0 and a[k] == 1) for i, j, k in gates
     )
 
 
@@ -269,7 +270,7 @@ class IsoResult:
     witness: str | None
 
 
-def lattice_assignment(l: FiniteLattice, c: Circuit, a: int) -> Assignment:
+def lattice_assignment(l: FiniteLattice, a: int) -> Assignment:
     """The assignment of D_a: node x_b is outside exactly when b >= a."""
     lm = l.nontop()
     return tuple(0 if l.leq(a, b) else 1 for b in lm)
@@ -278,16 +279,17 @@ def lattice_assignment(l: FiniteLattice, c: Circuit, a: int) -> Assignment:
 def verify_iso(l: FiniteLattice, c: Circuit) -> IsoResult:
     """Check a -> D_a is a bijection onto assignments preserving join and bounds."""
     got = definable_assignments(c)
-    mapping = {a: lattice_assignment(l, c, a) for a in range(l.n)}
-    values = list(mapping.values())
-    if len(set(values)) != l.n:
+    mapping = {a: lattice_assignment(l, a) for a in range(l.n)}
+    values = set(mapping.values())
+    if len(values) != l.n:
         return IsoResult(False, None, "a -> D_a is not injective")
+    got_set = set(got)
     for a, asg in mapping.items():
-        if asg not in got:
+        if asg not in got_set:
             return IsoResult(
                 False, None, f"D_{l.elements[a]} = {asg} is not an assignment"
             )
-    extra = [a for a in got if a not in set(values)]
+    extra = [a for a in got if a not in values]
     if extra:
         return IsoResult(
             False, None, f"extra assignment {extra[0]} matches no lattice element"

@@ -188,7 +188,7 @@ def cmd_tower(args) -> int:
             limit["contains_infinity"][f"D_{beta}"] = fam.d(beta).contains_infinity
         limit["contains_infinity"]["top"] = fam.top().contains_infinity
         if kind is tower.TowerKind.EXACT_PAIR:
-            meet, lbs, has_max = tower.limit_definables(kind).meet_analysis(
+            meet, lbs, has_max = fam.meet_analysis(
                 fam.side("a"), fam.side("b"), 8
             )
             limit["meet_exists"] = meet is not None

@@ -79,18 +79,18 @@ class Poset:
         return [(i, j) for i in range(self.n) for j in bits(self.up[i])]
 
     def covers(self) -> list[tuple[int, int]]:
-        """Hasse diagram edges (i, j) with j covering i."""
+        """Hasse diagram edges (i, j) with j covering i, by i then j.
+
+        j covers i when it is strictly above i and not strictly above any
+        element strictly above i.
+        """
         out = []
         for i in range(self.n):
-            for j in range(self.n):
-                if i == j or not self.leq(i, j):
-                    continue
-                if any(
-                    k not in (i, j) and self.leq(i, k) and self.leq(k, j)
-                    for k in range(self.n)
-                ):
-                    continue
-                out.append((i, j))
+            above = self.up[i] & ~(1 << i)
+            beyond = 0
+            for k in bits(above):
+                beyond |= self.up[k] & ~(1 << k)
+            out.extend((i, j) for j in bits(above & ~beyond))
         return out
 
 
@@ -212,6 +212,8 @@ def as_lattice(p: Poset) -> FiniteLattice:
     a greatest lower bound or least upper bound.
     """
     n = p.n
+    if n == 0:
+        raise LatticeError("a lattice needs at least one element; 'elements' is empty")
     down = p.down_masks()
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
@@ -252,6 +254,10 @@ class MeetSemilattice:
 def as_meet_semilattice(p: Poset) -> MeetSemilattice:
     """Build a meet-semilattice from a poset in which every pair has a glb."""
     n = p.n
+    if n == 0:
+        raise LatticeError(
+            "a meet-semilattice needs at least one element; 'elements' is empty"
+        )
     down = p.down_masks()
     meet = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -512,55 +518,35 @@ def v_semilattice() -> MeetSemilattice:
 # Exhaustive small-lattice generation (verification corpus)
 
 
-def all_posets_up_to_iso(n: int) -> list[Poset]:
-    """All posets on n labeled points up to isomorphism.
+def all_lattices_up_to_iso(n: int) -> list[FiniteLattice]:
+    """Every n-element lattice, one per isomorphism class.
 
-    Enumerates strict orders compatible with the index order (every poset has
-    a linear extension, so every isomorphism class appears) and dedupes by a
-    brute-force canonical form.
+    Every finite lattice has a linear extension with the bottom first and the
+    top last, so e0 is fixed as the bottom, e{n-1} as the top, and only the
+    strict orders among the middle elements that follow index order are
+    tried: 2^((n-2)(n-3)/2) masks.  ``Poset`` rejects the non-transitive ones
+    and ``as_lattice`` those lacking a meet or join.  A lattice is kept unless
+    ``iso`` matches it to an earlier one with the same sorted profiles.
     """
-    from itertools import permutations as _perms
-
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen = set()
+    if n < 1:
+        return []
+    labels = tuple(f"e{i}" for i in range(n))
+    full, top = (1 << n) - 1, 1 << (n - 1)
+    upper = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)]
+    buckets: dict[tuple, list[FiniteLattice]] = {}
     out = []
     for mask in range(1 << len(upper)):
-        rel = [upper[k] for k in range(len(upper)) if mask >> k & 1]
-        up = [1 << i for i in range(n)]
-        for a, b in rel:
-            up[a] |= 1 << b
-        ok = True
-        for k in range(n):
-            bit = 1 << k
-            for i in range(n):
-                if up[i] & bit and up[i] | up[k] != up[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        canon = min(
-            tuple(
-                sorted(
-                    sum(1 << perm[j] for j in bits(up[i])) << n | 1 << perm[i]
-                    for i in range(n)
-                )
-            )
-            for perm in _perms(range(n))
-        )
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(Poset(tuple(f"e{i}" for i in range(n)), tuple(up)))
-    return out
-
-
-def all_lattices_up_to_iso(n: int) -> list[FiniteLattice]:
-    out = []
-    for p in all_posets_up_to_iso(n):
+        up = [1 << i | top for i in range(n)]
+        up[0] = full
+        for k, (i, j) in enumerate(upper):
+            if mask >> k & 1:
+                up[i] |= 1 << j
         try:
-            out.append(as_lattice(p))
-        except LatticeError:
+            lat = as_lattice(Poset(labels, tuple(up)))
+        except OrderError:
             continue
+        bucket = buckets.setdefault(tuple(sorted(_profiles(lat))), [])
+        if all(iso(lat, other) is None for other in bucket):
+            bucket.append(lat)
+            out.append(lat)
     return out

@@ -29,6 +29,18 @@ class TowerKind(enum.Enum):
 EMPTY, E_STATE, FULL = "empty", "E", "full"
 
 
+def _gates(kind: TowerKind, n: int) -> list[tuple[int, int, int]]:
+    """The gate triples of the n-stage truncation; see ``truncate``."""
+    if kind is TowerKind.FORWARD_CHAIN:
+        return [(i, i, i + 1) for i in range(n)]
+    if kind is TowerKind.REVERSE_CHAIN:
+        return [(i + 1, i + 1, i) for i in range(n)]
+    if kind is TowerKind.EXACT_PAIR:
+        a, b, x = n + 1, n + 2, n
+        return [(i, i, i + 1) for i in range(n)] + [(x, x, a), (x, x, b), (a, b, x)]
+    raise ValueError(kind)
+
+
 def truncate(kind: TowerKind, n: int) -> Circuit:
     """The n-stage truncation as a circuit.
 
@@ -38,19 +50,11 @@ def truncate(kind: TowerKind, n: int) -> Circuit:
     """
     if n < 1:
         raise ValueError(f"truncation level must be >= 1, got {n}")
+    gates = tuple(_gates(kind, n))
     nodes = [f"x{i}" for i in range(n + 1)]
-    if kind is TowerKind.FORWARD_CHAIN:
-        gates = [(i, i, i + 1) for i in range(n)]
-        return Circuit(tuple(nodes), tuple(gates), ("tower", kind, n))
-    if kind is TowerKind.REVERSE_CHAIN:
-        gates = [(i + 1, i + 1, i) for i in range(n)]
-        return Circuit(tuple(nodes), tuple(gates), ("tower", kind, n))
     if kind is TowerKind.EXACT_PAIR:
-        a, b, x = n + 1, n + 2, n
-        gates = [(i, i, i + 1) for i in range(n)]
-        gates += [(x, x, a), (x, x, b), (a, b, x)]
-        return Circuit(tuple(nodes + ["a", "b"]), tuple(gates), ("tower", kind, n))
-    raise ValueError(kind)
+        nodes += ["a", "b"]
+    return Circuit(tuple(nodes), gates, ("tower", kind, n))
 
 
 def gadget_circuit() -> Circuit:
@@ -277,8 +281,7 @@ def restrict(d: LimitSet, n: int) -> tuple:
         mem.append(1 if chain_full else 0)
         mem += [d.gadget[0], d.gadget[1]]
     asg = tuple(mem)
-    c = truncate(kind, n)
-    if not circuit_mod.satisfies(c, asg):
+    if not circuit_mod.satisfies(_gates(kind, n), asg):
         raise AssertionError(f"restriction {asg} violates the truncation gates")
     return asg
 

@@ -78,12 +78,17 @@ class TestVerifyLattice:
 
 
 class TestMalformedLattice:
-    @pytest.mark.parametrize("data", [{"elements": 5}, {"elements": [["x"]]}])
-    @pytest.mark.parametrize("command", ["verify-lattice", "filters"])
+    @pytest.mark.parametrize(
+        "data", [{"elements": 5}, {"elements": [["x"]]}, {"elements": []}]
+    )
+    @pytest.mark.parametrize(
+        "command", ["verify-lattice", "filters", "filters --as-lattice", "y0 --k 0"]
+    )
     def test_exits_2_with_one_line(self, capsys, tmp_path, command, data):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(data))
-        code, rep, err = run_err(capsys, command, str(p))
+        name, *flags = command.split()
+        code, rep, err = run_err(capsys, name, str(p), *flags)
         assert code == 2 and rep["verdict"] == "error"
         assert "'elements'" in rep["error"]
         assert err.count("\n") == 1

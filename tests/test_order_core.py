@@ -210,9 +210,30 @@ class TestSmallCorpus:
     def test_lattice_counts(self):
         assert [len(oc.all_lattices_up_to_iso(n)) for n in range(2, 6)] == [1, 1, 2, 5]
 
-    def test_every_poset_validates(self):
-        for p in oc.all_posets_up_to_iso(4):
-            oc.Poset(p.elements, p.up)  # re-validation must not raise
+    def test_every_lattice_validates(self):
+        for n in range(1, 8):
+            for lat in oc.all_lattices_up_to_iso(n):
+                # re-validation must not raise and must rebuild the same tables
+                assert oc.as_lattice(oc.Poset(lat.elements, lat.poset.up)) == lat
+
+    @pytest.mark.parametrize(
+        "n,count",
+        [(1, 1), (2, 1), (3, 1), (4, 2), (5, 5), (6, 15), (7, 53)]
+        + [pytest.param(8, 222, marks=pytest.mark.slow)],
+    )
+    def test_counts_follow_a006966(self, n, count):
+        assert len(oc.all_lattices_up_to_iso(n)) == count
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_lattice_without_elements(self, n):
+        assert oc.all_lattices_up_to_iso(n) == []
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_pairwise_non_isomorphic(self, n):
+        corpus = oc.all_lattices_up_to_iso(n)
+        for i, a in enumerate(corpus):
+            for b in corpus[i + 1:]:
+                assert oc.iso(a, b) is None
 
 
 @st.composite
@@ -222,6 +243,21 @@ def small_posets(draw):
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rel = [upper[k] for k in range(len(upper)) if pair_bits >> k & 1]
     return oc.poset_from_pairs([f"e{i}" for i in range(n)], rel, labels=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_posets())
+def test_covers_match_the_definition(p):
+    n = p.n
+    literal = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and p.leq(i, j)
+        and not any(k not in (i, j) and p.leq(i, k) and p.leq(k, j) for k in range(n))
+    ]
+    assert p.covers() == literal
 
 
 @settings(max_examples=60, deadline=None)
