@@ -10,9 +10,12 @@ off(out), which is what every enumeration here works with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
+from . import finspace
 from . import gate as gate_mod
+from .finspace import BudgetExceeded
 from .order_core import FiniteLattice, MeetSemilattice, closed_sets, filters, horn_closure
 
 
@@ -327,6 +330,204 @@ def discretize(c: Circuit, n: int):
     if not labels:
         raise ValueError("cannot discretize a circuit with no gates")
     return gate_mod.build_complex(labels, n, terminal_order=c.nodes)
+
+
+# Spot checks of the factorized oracle: seeded random closed sets of the
+# assembled complex that the glue leaves out must not be definable.
+SPOT_PROBES = 20
+SPOT_SEED = 0
+
+
+class NoThreshold(ValueError):
+    """The floor 2/n leaves no distance threshold in (r_min, 1]."""
+
+    def __init__(self, r_min: Fraction):
+        super().__init__(f"r_min = {r_min} leaves no distance threshold")
+        self.r_min = r_min
+
+
+def gate_shape(g) -> tuple[str, str, str]:
+    """The gate's terminal labels up to renaming: each position is named by
+    the first position holding the same node, so (0, 0, 1) is ("a", "a", "c").
+    Five shapes arise: all distinct, in1=in2, in1=out, in2=out, all equal."""
+    return tuple("abc"[g.index(v)] for v in g)
+
+
+def _slots(g) -> tuple[int, ...]:
+    """The gate's nodes in the order of its shape's sorted terminal labels."""
+    return tuple(v for p, v in enumerate(g) if g.index(v) == p)
+
+
+def shape_oracles(c: Circuit, n: int, budget: int) -> dict:
+    """gate.oracle on a one-gate complex of each shape the circuit uses.
+
+    Raises NoThreshold when the floor leaves a shape no threshold, since
+    then every closed set would pass.
+    """
+    out = {}
+    for g in c.gates:
+        shape = gate_shape(g)
+        if shape not in out:
+            dc = gate_mod.build_complex([shape], n)
+            if not finspace.thresholds(dc.space, dc.r_min):
+                raise NoThreshold(dc.r_min)
+            out[shape] = (dc, gate_mod.oracle(dc, budget=budget))
+    return out
+
+
+def glue(c: Circuit, shapes: dict, budget: int) -> list[tuple[Assignment, int]]:
+    """Node assignments whose every gate shows a pattern its shape realizes,
+    ascending, each with its number of glued sets: the product over gates of
+    the shape's definable sets with that pattern.
+
+    Backtracks over node memberships in index order and checks each gate as
+    soon as its last node is set; a node that lies in no gate is a free
+    point, so both of its values pass.  Every membership tried is charged to
+    the budget.  Uses neither horn_closure nor closed_sets, so it stays
+    independent of the symbolic side.
+    """
+    counts = {}
+    for shape, (_, res) in shapes.items():
+        table = counts[shape] = {}
+        for p in res.patterns:
+            table[p] = table.get(p, 0) + 1
+    if not c.n:
+        return [((), 1)]
+    closing = [[] for _ in range(c.n)]
+    for g in c.gates:
+        closing[max(g)].append((counts[gate_shape(g)], _slots(g)))
+    out = []
+    x = [-1] * c.n
+    ways = [1] * (c.n + 1)
+    tried = 0
+    v = 0
+    while v >= 0:
+        x[v] += 1
+        if x[v] > 1:
+            x[v] = -1
+            v -= 1
+            continue
+        tried += 1
+        if tried > budget:
+            raise BudgetExceeded(f"glue search exceeds the budget of {budget}")
+        w = ways[v]
+        for table, slots in closing[v]:
+            w *= table.get(tuple(x[i] for i in slots), 0)
+            if not w:
+                break
+        if not w:
+            continue
+        if v == c.n - 1:
+            out.append((tuple(x), w))
+        else:
+            ways[v + 1] = w
+            v += 1
+    return out
+
+
+def check_factorization(dc, shape_complexes, r_min: Fraction) -> None:
+    """Raise AssertionError unless the complex splits into its gate copies.
+
+    Checks what the factorized oracle relies on: no stored distance joins
+    cells of two copies, every terminal is a crisp 0-cell, and every shape
+    complex has the complex's thresholds above r_min.
+    """
+    s = dc.space
+    terminal_mask = 0
+    for label, t in dc.terminals.items():
+        if s.cells[t].dim != 0:
+            raise AssertionError(f"terminal {label!r} is not a 0-cell")
+        terminal_mask |= 1 << t
+    copy_of = [0] * s.n
+    for g, cells in enumerate(dc.copies):
+        for cell in cells:
+            copy_of[cell] |= 1 << g
+    for a, b in s.dist:
+        if (terminal_mask >> a | terminal_mask >> b) & 1:
+            raise AssertionError(f"stored distance d({a},{b}) makes a terminal not crisp")
+        if copy_of[a] != copy_of[b] or copy_of[a].bit_count() != 1:
+            raise AssertionError(f"stored distance d({a},{b}) crosses gate copies")
+    want = finspace.thresholds(s, r_min)
+    for sc in shape_complexes:
+        if finspace.thresholds(sc.space, r_min) != want:
+            raise AssertionError("a gate shape's thresholds differ from the complex's")
+
+
+@dataclass(frozen=True)
+class CircuitOracle:
+    patterns: tuple[Assignment, ...]  # ascending, one per glued node assignment
+    definables: int  # glued sets: one definable set chosen per gate copy
+    refuted: tuple[int, ...]  # complex cell sets on which full is_definable disagrees
+
+
+def oracle(c: Circuit, n: int, budget: int) -> CircuitOracle:
+    """Definable sets of the discretized circuit, glued from one-gate oracles.
+
+    Why gluing is sound: build_complex keys its metric x-slices by gate copy,
+    so no distance below 1 joins two copies, and soldering identifies only
+    terminals, which are crisp 0-cells.  A set is closed exactly when its
+    part in each copy is.  A terminal's minimal open set is the union of its
+    flanks in each copy, so the definability test U(d) & ~(d | N_r0(d)) == 0
+    of finspace splits copy by copy, and every copy has the same distance
+    values and so the same threshold r0 as the one-gate complex of its
+    shape.  Hence the definable sets of the complex are the consistent
+    choices of one definable set per copy, and a node in no gate is a free
+    point with patterns {0, 1}.
+
+    check_factorization asserts these preconditions on the assembled
+    complex.  Each glued set is then mapped onto the complex's cells through
+    the copies' shared pre-solder numbering and confirmed with full
+    is_definable, and SPOT_PROBES seeded random closed sets outside the glue
+    must fail it; disagreements are returned in ``refuted``.  A circuit with
+    no gates needs no complex: each of its nodes is a free point.
+    """
+    if n < 2:
+        raise ValueError(f"subdivision n must be >= 2, got {n}")
+    shapes = shape_oracles(c, n, budget)
+    glued = glue(c, shapes, budget)
+    patterns = tuple(a for a, _ in glued)
+    definables = sum(w for _, w in glued)
+    if not c.gates:
+        return CircuitOracle(patterns, definables, ())
+    dc = discretize(c, n)
+    r_min = dc.r_min
+    check_factorization(dc, [sdc for sdc, _ in shapes.values()], r_min)
+    # each shape set as pre-solder local indices, then per gate as its cells
+    local_sets = {
+        shape: [
+            (p, [i for i, cell in enumerate(sdc.copies[0]) if d >> cell & 1])
+            for d, p in zip(res.definable, res.patterns)
+        ]
+        for shape, (sdc, res) in shapes.items()
+    }
+    lifted = []
+    for g, cells in zip(c.gates, dc.copies):
+        by_pattern: dict = {}
+        for p, locals_ in local_sets[gate_shape(g)]:
+            mask = 0
+            for i in locals_:
+                mask |= 1 << cells[i]
+            by_pattern.setdefault(p, []).append(mask)
+        lifted.append((_slots(g), by_pattern))
+    gated = {v for g in c.gates for v in g}
+    free = [
+        (i, dc.terminals[node]) for i, node in enumerate(c.nodes) if i not in gated
+    ]
+    refuted = []
+    sets = set()
+    for a in patterns:
+        partial = [sum(1 << cell for i, cell in free if a[i])]
+        for slots, by_pattern in lifted:
+            options = by_pattern[tuple(a[i] for i in slots)]
+            partial = [m | o for m in partial for o in options]
+        for d in partial:
+            sets.add(d)
+            if not finspace.is_definable(dc.space, d, r_min):
+                refuted.append(d)
+    for d in finspace.random_closed_sets(dc.space, SPOT_PROBES, SPOT_SEED):
+        if d not in sets and finspace.is_definable(dc.space, d, r_min):
+            refuted.append(d)
+    return CircuitOracle(patterns, definables, tuple(refuted))
 
 
 def build_Y0(m: MeetSemilattice, enumeration, k: int) -> Circuit:

@@ -85,18 +85,22 @@ def cmd_verify_lattice(args) -> int:
         report["results"]["witness"] = iso_res.witness
     ok = iso_res.ok
     if args.oracle:
-        dc = circuit_mod.discretize(circ, args.oracle)
-        if not finspace.thresholds(dc.space, dc.r_min):
+        try:
+            res = circuit_mod.oracle(circ, args.oracle, args.max_candidates)
+        except circuit_mod.NoThreshold as exc:
             raise InputError(
                 f"--oracle {args.oracle} leaves no distance threshold above "
-                f"r_min = {dc.r_min}; use --oracle 3 or more"
-            )
-        res = gate.oracle(dc, budget=args.max_candidates)
+                f"r_min = {exc.r_min}; use --oracle 3 or more"
+            ) from exc
         symbolic = {tuple(a) for a in assignments}
-        agree = res.pattern_set == symbolic and len(res.definable) == len(symbolic)
+        agree = (
+            not res.refuted
+            and set(res.patterns) == symbolic
+            and res.definables == len(symbolic)
+        )
         report["results"]["oracle"] = {
             "n": args.oracle,
-            "definables": len(res.definable),
+            "definables": res.definables,
             "agrees": agree,
         }
         ok = ok and agree

@@ -390,6 +390,10 @@ def solder(
     """
     groups = [tuple(g) for g in groups]
     seen: set[int] = set()
+    # a single cell is crisply embedded iff no stored distance touches it
+    touched = 0
+    for a, b in s.dist:
+        touched |= 1 << a | 1 << b
     for g in groups:
         if len(g) != len(set(g)):
             raise ValueError(f"group {g} repeats a cell")
@@ -399,7 +403,7 @@ def solder(
             seen.add(c)
             if s.cells[c].dim != 0:
                 raise ValueError(f"cannot solder cell {c}: not a 0-cell")
-            if not is_crisp(s, 1 << c):
+            if touched >> c & 1:
                 raise ValueError(f"cannot solder cell {c}: not crisply embedded")
     group_of = {}
     for gi, g in enumerate(groups):
@@ -497,13 +501,9 @@ def random_closed_sets(s: DiscreteSpace, count: int, seed: int) -> list[int]:
     out = []
     for k in range(count):
         p = probs[k % len(probs)]
-        mask = 0
-        for i in range(s.n):
-            if rng.random() < p:
-                mask |= 1 << i
-        c = mask
-        for x in bits(mask):
-            c |= cl[x]
+        c = 0
+        for x in [i for i in range(s.n) if rng.random() < p]:
+            c |= cl[x]  # cl[x] holds x itself
         out.append(c)
     return out
 

@@ -107,6 +107,9 @@ class DiscretizedComplex:
 
     edges/vertices describe the original topological-graph structure after
     soldering; terminals maps each terminal label to its (merged) cell.
+    copies lists, per gate copy, its cells in the copy's own pre-solder
+    numbering, which is the same for every copy and for a one-gate complex.
+    A node that no gate names is an isolated crisp 0-cell with no rep.
     """
 
     space: DiscreteSpace
@@ -114,8 +117,9 @@ class DiscretizedComplex:
     vertices: tuple[int, ...]
     terminals: dict
     terminal_order: tuple[str, ...]
-    reps: tuple[tuple[Fraction, Fraction], ...]
+    reps: tuple[tuple[Fraction, Fraction] | None, ...]
     n: int
+    copies: tuple[tuple[int, ...], ...]
 
     @property
     def r_min(self) -> Fraction:
@@ -134,7 +138,8 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
     All terminals sharing a label are identified into a single crisp cell
     tagged with that label.  A gate whose two input labels coincide is the
     soldered-inputs variant; a triple with one label throughout collapses all
-    three terminals.
+    three terminals.  Each terminal_order label that no gate names becomes an
+    isolated crisp 0-cell, a free point.
     """
     if n < 2:
         raise ValueError(f"subdivision n must be >= 2, got {n}")
@@ -146,6 +151,7 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
     edge_records: list[tuple[str, list[int], tuple[int, int]]] = []
     terminal_cells: dict = {}
     named_vertex_ids: list[int] = []
+    copy_starts: list[int] = []
     current_copy = 0
 
     def add_cell(dim: int, tag: str, rep) -> int:
@@ -158,6 +164,7 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
 
     for copy, (l1, l2, l3) in enumerate(gate_labels):
         current_copy = copy
+        copy_starts.append(len(cells))
         pfx = f"g{copy}." if len(gate_labels) > 1 else ""
         vid = {}
         for vname in VERTEX_ORDER:
@@ -206,6 +213,11 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
                 d = max(abs(reps[a][1]), abs(reps[b][1]))
                 if d < 1:
                     dist[(a, b) if a < b else (b, a)] = d
+    copy_size = len(cells) // len(gate_labels) if gate_labels else 0
+    for label in terminal_order or ():
+        if label not in terminal_cells:
+            terminal_cells[label] = [add_cell(0, f"n.{label}", None)]
+            named_vertex_ids.append(terminal_cells[label][0])
 
     space = DiscreteSpace(
         tuple(cells), tuple(min_open), dist, None, Fraction(1, n)
@@ -223,7 +235,7 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
     else:
         old_to_new = tuple(range(space.n))
 
-    new_reps: list[tuple[Fraction, Fraction]] = [None] * space.n  # type: ignore
+    new_reps: list = [None] * space.n
     for old, new in enumerate(old_to_new):
         new_reps[new] = reps[old]
     edges = []
@@ -248,6 +260,9 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
         tuple(terminal_order),
         tuple(new_reps),
         n,
+        tuple(
+            tuple(old_to_new[start:start + copy_size]) for start in copy_starts
+        ),
     )
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .finspace import bits
 
@@ -173,6 +173,10 @@ class FiniteLattice:
     join: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
+    # iso's per-element profiles, filled on first use; no part of the value
+    _iso_profiles: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -407,7 +411,11 @@ def filter_lattice(m: MeetSemilattice, include_empty: bool = False) -> FiniteLat
 # Isomorphism search
 
 
-def _profiles(l: FiniteLattice) -> list[tuple]:
+def _profiles(l: FiniteLattice) -> tuple[tuple, ...]:
+    """Per element: down-set and up-set sizes, upper and lower cover counts,
+    and whether it is the bottom or the top.  Computed once per lattice."""
+    if l._iso_profiles is not None:
+        return l._iso_profiles
     down = l.poset.down_masks()
     covers = l.poset.covers()
     up_cov = [0] * l.n
@@ -415,7 +423,7 @@ def _profiles(l: FiniteLattice) -> list[tuple]:
     for i, j in covers:
         up_cov[i] += 1
         dn_cov[j] += 1
-    return [
+    profiles = tuple(
         (
             down[i].bit_count(),
             l.poset.up[i].bit_count(),
@@ -425,7 +433,9 @@ def _profiles(l: FiniteLattice) -> list[tuple]:
             i == l.top,
         )
         for i in range(l.n)
-    ]
+    )
+    object.__setattr__(l, "_iso_profiles", profiles)
+    return profiles
 
 
 def iso(a: FiniteLattice, b: FiniteLattice) -> dict[int, int] | None:

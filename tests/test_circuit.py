@@ -1,3 +1,5 @@
+from dataclasses import replace
+from fractions import Fraction as F
 from itertools import product
 
 import pytest
@@ -260,6 +262,9 @@ class TestDiscretize:
         symbolic = set(cc.definable_assignments(two))
         assert res.pattern_set == symbolic
         assert len(res.definable) == len(symbolic) == 24
+        glued = cc.oracle(two, 3, 1 << 20)
+        assert glued.patterns == tuple(sorted(res.pattern_set))
+        assert glued.definables == 24 and glued.refuted == ()
 
     def test_budget_guard(self):
         two = cc.Circuit(("p", "q", "r", "s", "t"), ((0, 1, 2), (2, 3, 4)))
@@ -276,6 +281,189 @@ class TestDiscretize:
             for q, dq in by_pattern.items():
                 j = tuple(max(x, y) for x, y in zip(p, q))
                 assert by_pattern[j] == dp | dq
+
+
+def _two_gate_classes():
+    """Every pair of gates over three nodes, one per class under node
+    relabelling, gate order and swapping a gate's inputs (repeats allowed)."""
+    from itertools import permutations
+
+    triples = list(product(range(3), repeat=3))
+    classes = set()
+    for pair in product(triples, repeat=2):
+        variants = []
+        for perm in permutations(range(3)):
+            for swaps in product((0, 1), repeat=2):
+                gates = []
+                for (i, j, k), sw in zip(pair, swaps):
+                    i, j, k = perm[i], perm[j], perm[k]
+                    gates.append((j, i, k) if sw else (i, j, k))
+                variants.append(tuple(sorted(gates)))
+        classes.add(min(variants))
+    return sorted(classes)
+
+
+@pytest.fixture(scope="module")
+def shapes_n4():
+    every_shape = cc.Circuit(
+        ("p", "q", "r"), ((0, 1, 2), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 0, 0))
+    )
+    return cc.shape_oracles(every_shape, 4, 1 << 20)
+
+
+class TestFactorizedOracle:
+    def test_gate_shapes_and_slots(self):
+        cases = {
+            (4, 5, 6): (("a", "b", "c"), (4, 5, 6)),
+            (4, 4, 6): (("a", "a", "c"), (4, 6)),
+            (4, 5, 4): (("a", "b", "a"), (4, 5)),
+            (4, 5, 5): (("a", "b", "b"), (4, 5)),
+            (4, 4, 4): (("a", "a", "a"), (4,)),
+        }
+        for g, (shape, slots) in cases.items():
+            assert cc.gate_shape(g) == shape
+            assert cc._slots(g) == slots
+
+    def test_shape_patterns(self, shapes_n4):
+        got = {shape: set(res.patterns) for shape, (_, res) in shapes_n4.items()}
+        assert got == {
+            ("a", "b", "c"): gate.expected_patterns("plain"),
+            ("a", "a", "c"): gate.expected_patterns("dagger"),
+            ("a", "b", "a"): set(product((0, 1), repeat=2)),
+            ("a", "b", "b"): set(product((0, 1), repeat=2)),
+            ("a", "a", "a"): {(0,), (1,)},
+        }
+        for _, res in shapes_n4.values():
+            assert len(res.patterns) == len(set(res.patterns))
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_glue_matches_symbolic_on_corpus(self, shapes_n4, k):
+        # the glue alone: no complex, no spot checks
+        for lat in oc.all_lattices_up_to_iso(k):
+            c = cc.build_full(lat)
+            glued = cc.glue(c, shapes_n4, 1 << 20)
+            assert [a for a, _ in glued] == cc.definable_assignments(c)
+            assert all(w == 1 for _, w in glued)
+
+    def test_glue_free_nodes_and_empty_circuit(self, shapes_n4):
+        c = cc.Circuit(("p", "q", "r"), ((0, 0, 1),))
+        glued = cc.glue(c, shapes_n4, 1 << 20)
+        assert [a for a, _ in glued] == brute_assignments(c)
+        assert len(glued) == 6
+        gateless = cc.glue(cc.Circuit(("x", "y"), ()), {}, 1 << 20)
+        assert [a for a, _ in gateless] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert cc.glue(cc.Circuit((), ()), {}, 1 << 20) == [((), 1)]
+
+    def test_glue_budget(self, shapes_n4):
+        c = cc.build_full(oc.n5())
+        with pytest.raises(fs.BudgetExceeded):
+            cc.glue(c, shapes_n4, 10)
+
+    def test_gateless_circuit_needs_no_complex(self):
+        res = cc.oracle(cc.build_minimal(oc.chain(2), "exact"), 4, 1 << 20)
+        assert res == cc.CircuitOracle(((0,), (1,)), 2, ())
+
+    def test_free_node_beside_gates(self):
+        c = cc.Circuit(("p", "q", "r", "z"), ((0, 1, 2),))
+        res = cc.oracle(c, 3, 1 << 20)
+        assert res.patterns == tuple(brute_assignments(c))
+        assert res.definables == 14 and res.refuted == ()
+
+    def test_no_threshold(self):
+        with pytest.raises(cc.NoThreshold):
+            cc.oracle(cc.build_full(oc.chain(3)), 2, 1 << 20)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            cc.oracle(cc.build_full(oc.chain(3)), 1, 1 << 20)
+
+    def test_spot_checks_catch_a_wrong_shape_set(self, monkeypatch):
+        # swap the dagger shape's (1, 1) set for a closed set that is not
+        # definable: patterns and counts still match, the spot check does not
+        real = gate.oracle
+
+        def doctored(dc, *args, **kwargs):
+            res = real(dc, *args, **kwargs)
+            if dc.terminal_order != ("a", "c"):
+                return res
+            bad = gate.edge_mask(dc, "OS")
+            definable = tuple(
+                bad if p == (1, 1) else d for d, p in zip(res.definable, res.patterns)
+            )
+            assert not fs.is_definable(dc.space, bad, dc.r_min)
+            return gate.OracleResult(definable, res.patterns)
+
+        monkeypatch.setattr(gate, "oracle", doctored)
+        c = cc.build_minimal(oc.chain(4), "exact")
+        res = cc.oracle(c, 4, 1 << 20)
+        assert res.patterns == tuple(cc.definable_assignments(c))
+        # the glued sets of (1, 1, 0) and (1, 1, 1) use the doctored set
+        assert res.definables == 4 and len(res.refuted) == 2
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("gates", _two_gate_classes())
+    def test_glue_matches_brute_force(self, gates):
+        c = cc.Circuit(("p", "q", "r"), gates)
+        brute = gate.oracle(cc.discretize(c, 3), budget=1 << 24)
+        res = cc.oracle(c, 3, 1 << 20)
+        assert res.patterns == tuple(sorted(brute.pattern_set))
+        assert res.definables == len(brute.definable)
+        assert res.refuted == ()
+        assert set(res.patterns) == set(cc.definable_assignments(c))
+
+    def test_two_gate_classes(self):
+        classes = _two_gate_classes()
+        assert len(classes) == 34
+        assert sum(len({v for g in c for v in g}) == 3 for c in classes) == 22
+
+
+class TestFactorizationPreconditions:
+    """check_factorization on a two-gate complex broken by hand."""
+
+    @pytest.fixture
+    def parts(self):
+        c = cc.Circuit(("p", "q", "r", "s", "t"), ((0, 1, 2), (2, 3, 4)))
+        dc = cc.discretize(c, 3)
+        shapes = [sdc for sdc, _ in cc.shape_oracles(c, 3, 1 << 20).values()]
+        return dc, shapes
+
+    def _with_dist(self, dc, a, b, d):
+        dist = dict(dc.space.dist)
+        dist[(a, b) if a < b else (b, a)] = d
+        return replace(dc, space=replace(dc.space, dist=dist))
+
+    def test_intact_complex_passes(self, parts):
+        dc, shapes = parts
+        cc.check_factorization(dc, shapes, dc.r_min)
+
+    def test_distance_across_copies(self, parts):
+        dc, shapes = parts
+        d = next(iter(dc.space.dist.values()))
+        a = dc.copies[0][dc.reps.index((F(-1, 2), F(1, 2)))]
+        b = dc.copies[1][dc.reps.index((F(-1, 2), F(1, 2)))]
+        with pytest.raises(AssertionError, match="crosses gate copies"):
+            cc.check_factorization(self._with_dist(dc, a, b, d), shapes, dc.r_min)
+
+    def test_terminal_not_crisp(self, parts):
+        dc, shapes = parts
+        d = next(iter(dc.space.dist.values()))
+        t = dc.terminals["r"]
+        inner = dc.copies[0][dc.reps.index((F(-1, 2), F(1, 2)))]
+        with pytest.raises(AssertionError, match="terminal not crisp"):
+            cc.check_factorization(self._with_dist(dc, t, inner, d), shapes, dc.r_min)
+
+    def test_terminal_not_a_point(self, parts):
+        dc, shapes = parts
+        t = dc.terminals["r"]
+        cells = list(dc.space.cells)
+        cells[t] = fs.Cell(t, 1, cells[t].tag)
+        broken = replace(dc, space=replace(dc.space, cells=tuple(cells)))
+        with pytest.raises(AssertionError, match="not a 0-cell"):
+            cc.check_factorization(broken, shapes, dc.r_min)
+
+    def test_shape_thresholds_differ(self, parts):
+        dc, shapes = parts
+        other = gate.build_complex([("a", "b", "c")], 5)
+        with pytest.raises(AssertionError, match="thresholds differ"):
+            cc.check_factorization(dc, shapes + [other], dc.r_min)
 
 
 class TestCircuitJson:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from latcirc import cli
+from latcirc import cli, gate
+from latcirc import order_core as oc
 
 N5 = {
     "elements": ["0", "a", "b", "c", "1"],
@@ -11,6 +12,19 @@ N5 = {
 V_SEMI = {"elements": ["0", "a", "b"], "covers": [["0", "a"], ["0", "b"]]}
 CHAIN2 = {"elements": ["0", "1"], "covers": [["0", "1"]]}
 NO_MEET = {"elements": ["x", "y"], "covers": []}
+M3 = {
+    "elements": ["0", "p", "q", "r", "1"],
+    "covers": [["0", "p"], ["0", "q"], ["0", "r"], ["p", "1"], ["q", "1"], ["r", "1"]],
+}
+
+
+def _lattice_json(lat) -> str:
+    return json.dumps(
+        {
+            "elements": list(lat.elements),
+            "covers": [[lat.elements[i], lat.elements[j]] for i, j in lat.poset.covers()],
+        }
+    )
 
 
 @pytest.fixture
@@ -55,6 +69,57 @@ class TestVerifyLattice:
         code, rep = run(capsys, "verify-lattice", str(p), "--oracle", "4")
         assert code == 0
         assert rep["results"]["oracle"]["agrees"]
+
+    def test_gateless_minimal_chain_with_oracle(self, capsys, tmp_path):
+        p = tmp_path / "c2.json"
+        p.write_text(json.dumps(CHAIN2))
+        code, rep = run(
+            capsys, "verify-lattice", str(p), "--presentation", "minimal", "--oracle", "4"
+        )
+        assert code == 0 and rep["verdict"] == "pass"
+        assert rep["results"]["gates"] == 0
+        assert rep["results"]["oracle"] == {"n": 4, "definables": 2, "agrees": True}
+
+    @pytest.mark.parametrize("presentation", ["full", "minimal"])
+    @pytest.mark.parametrize("data", [N5, M3], ids=["n5", "m3"])
+    def test_five_elements_with_oracle(self, capsys, tmp_path, data, presentation):
+        p = tmp_path / "l5.json"
+        p.write_text(json.dumps(data))
+        code, rep = run(
+            capsys, "verify-lattice", str(p), "--presentation", presentation, "--oracle", "4"
+        )
+        assert code == 0 and rep["verdict"] == "pass"
+        assert rep["results"]["oracle"] == {"n": 4, "definables": 5, "agrees": True}
+
+    @pytest.mark.parametrize(
+        "k", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+    )
+    def test_corpus_full_with_oracle(self, capsys, tmp_path, k):
+        for lat in oc.all_lattices_up_to_iso(k):
+            p = tmp_path / "lat.json"
+            p.write_text(_lattice_json(lat))
+            code, rep = run(capsys, "verify-lattice", str(p), "--oracle", "4")
+            assert code == 0 and rep["verdict"] == "pass", lat.poset.up
+            assert rep["results"]["oracle"] == {"n": 4, "definables": k, "agrees": True}
+
+    def test_oracle_runs_brute_force_on_single_gates_only(self, capsys, n5_file, monkeypatch):
+        seen = []
+        real = gate.oracle
+
+        def one_gate_only(dc, *args, **kwargs):
+            seen.append(len(dc.copies))
+            return real(dc, *args, **kwargs)
+
+        monkeypatch.setattr(gate, "oracle", one_gate_only)
+        code, _ = run(capsys, "verify-lattice", n5_file, "--oracle", "4")
+        assert code == 0 and seen and set(seen) == {1}
+
+    def test_oracle_budget_exits_2(self, capsys, n5_file):
+        code, rep, err = run_err(
+            capsys, "--max-candidates", "10", "verify-lattice", n5_file, "--oracle", "4"
+        )
+        assert code == 2 and "budget of 10" in rep["error"]
+        assert err.count("\n") == 1
 
     def test_meetless_input_exits_2(self, capsys, tmp_path):
         p = tmp_path / "bad.json"

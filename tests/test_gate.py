@@ -149,6 +149,34 @@ class TestStateToCells:
                 ) | gate.state_to_cells(dg, t)
 
 
+class TestAssembly:
+    def test_gate_free_label_is_an_isolated_point(self):
+        dc = gate.build_complex([("a", "b", "c")], 3, ("a", "b", "c", "z"))
+        z = dc.terminals["z"]
+        assert dc.space.cells[z] == fs.Cell(z, 0, "n.z")
+        assert z in dc.vertices and dc.reps[z] is None
+        assert dc.space.min_open[z] == 1 << z
+        assert fs.is_crisp(dc.space, 1 << z)
+        assert dc.pattern(1 << z) == (0, 0, 0, 1)
+        res = gate.oracle(dc)
+        assert res.pattern_set == {
+            p + (z_in,) for p in gate.expected_patterns("plain") for z_in in (0, 1)
+        }
+        assert len(res.definable) == 14
+
+    def test_copies_share_the_one_gate_numbering(self):
+        one = gate.build_complex([("a", "b", "c")], 3)
+        two = gate.build_complex([("a", "b", "c"), ("c", "d", "e")], 3)
+        assert one.copies == (tuple(range(one.space.n)),)
+        assert [len(cells) for cells in two.copies] == [one.space.n] * 2
+        out0 = two.copies[0][one.terminals["c"]]
+        in1 = two.copies[1][one.terminals["a"]]
+        assert out0 == in1 == two.terminals["c"]
+        assert set(two.copies[0]) & set(two.copies[1]) == {two.terminals["c"]}
+        for local, cell in enumerate(two.copies[1]):
+            assert two.reps[cell] == one.reps[local]
+
+
 class TestOracle:
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_exactly_seven(self, n):

@@ -205,6 +205,14 @@ class TestIso:
     def test_size_mismatch(self):
         assert oc.iso(oc.chain(2), oc.chain(3)) is None
 
+    def test_profile_cache_is_invisible(self):
+        warm, cold = oc.n5(), oc.n5()
+        assert oc.iso(warm, oc.n5()) is not None
+        assert warm._iso_profiles is not None and cold._iso_profiles is None
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert oc.iso(warm, warm) == oc.iso(cold, oc.n5())
+
 
 class TestSmallCorpus:
     def test_lattice_counts(self):
