@@ -145,27 +145,17 @@ def is_adequate(l: FiniteLattice, triples) -> bool:
     return _first_gap(l, triples) is None
 
 
-def build_minimal(l: FiniteLattice, mode: str = "exact") -> Circuit:
-    """An adequate presentation; exact mode returns a minimum-cardinality one.
+def build_minimal(l: FiniteLattice) -> Circuit:
+    """A minimum-cardinality adequate presentation.
 
-    Exact search deepens the size limit from a sound lower bound: every node
-    c that some qualifying (a, b, c) has outside {a, b} needs a rule with head
+    The search deepens the size limit from a sound lower bound: every node c
+    that some qualifying (a, b, c) has outside {a, b} needs a rule with head
     c.  The first adequate set found is then a minimum.
     """
     if l.n < 2:
         raise ValueError("trivial lattice: circuits need at least two elements")
     all_triples = qualifying_triples(l)
-    if mode == "greedy":
-        chosen = list(all_triples)
-        for t in list(chosen):
-            trial = [u for u in chosen if u != t]
-            if is_adequate(l, trial):
-                chosen = trial
-        triples = tuple(chosen)
-    elif mode == "exact":
-        triples = _exact_minimal(l, all_triples)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    triples = _exact_minimal(l, all_triples)
     return Circuit(
         _node_labels(l), _reindex(l, triples), ("minimal", l, tuple(triples))
     )
@@ -271,6 +261,7 @@ class IsoResult:
     ok: bool
     mapping: dict | None
     witness: str | None
+    assignments: tuple[Assignment, ...]  # the circuit's, canonically ordered
 
 
 def lattice_assignment(l: FiniteLattice, a: int) -> Assignment:
@@ -280,38 +271,40 @@ def lattice_assignment(l: FiniteLattice, a: int) -> Assignment:
 
 
 def verify_iso(l: FiniteLattice, c: Circuit) -> IsoResult:
-    """Check a -> D_a is a bijection onto assignments preserving join and bounds."""
-    got = definable_assignments(c)
+    """Check a -> D_a is a bijection onto assignments preserving join and bounds.
+
+    The result carries the circuit's assignments, so callers need not
+    enumerate them again.
+    """
+    got = tuple(definable_assignments(c))
+
+    def fail(witness: str) -> IsoResult:
+        return IsoResult(False, None, witness, got)
+
     mapping = {a: lattice_assignment(l, a) for a in range(l.n)}
     values = set(mapping.values())
     if len(values) != l.n:
-        return IsoResult(False, None, "a -> D_a is not injective")
+        return fail("a -> D_a is not injective")
     got_set = set(got)
     for a, asg in mapping.items():
         if asg not in got_set:
-            return IsoResult(
-                False, None, f"D_{l.elements[a]} = {asg} is not an assignment"
-            )
+            return fail(f"D_{l.elements[a]} = {asg} is not an assignment")
     extra = [a for a in got if a not in values]
     if extra:
-        return IsoResult(
-            False, None, f"extra assignment {extra[0]} matches no lattice element"
-        )
+        return fail(f"extra assignment {extra[0]} matches no lattice element")
     for a in range(l.n):
         for b in range(l.n):
             j = l.join[a][b]
             pointwise = tuple(max(x, y) for x, y in zip(mapping[a], mapping[b]))
             if mapping[j] != pointwise:
-                return IsoResult(
-                    False,
-                    None,
-                    f"join not preserved on ({l.elements[a]}, {l.elements[b]})",
+                return fail(
+                    f"join not preserved on ({l.elements[a]}, {l.elements[b]})"
                 )
     if mapping[l.bottom] != tuple([0] * c.n):
-        return IsoResult(False, None, "bottom does not map to the empty set")
+        return fail("bottom does not map to the empty set")
     if mapping[l.top] != tuple([1] * c.n):
-        return IsoResult(False, None, "top does not map to the whole space")
-    return IsoResult(True, mapping, None)
+        return fail("top does not map to the whole space")
+    return IsoResult(True, mapping, None, got)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +456,10 @@ class CircuitOracle:
 def oracle(c: Circuit, n: int, budget: int) -> CircuitOracle:
     """Definable sets of the discretized circuit, glued from one-gate oracles.
 
-    Why gluing is sound: build_complex keys its metric x-slices by gate copy,
-    so no distance below 1 joins two copies, and soldering identifies only
-    terminals, which are crisp 0-cells.  A set is closed exactly when its
+    Why gluing is sound: build_complex lays its gate copies side by side
+    with finspace.coproduct, which puts every pair of cells from different
+    copies at distance 1, and soldering identifies only terminals, which
+    are crisp 0-cells.  A set is closed exactly when its
     part in each copy is.  A terminal's minimal open set is the union of its
     flanks in each copy, so the definability test U(d) & ~(d | N_r0(d)) == 0
     of finspace splits copy by copy, and every copy has the same distance

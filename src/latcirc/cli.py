@@ -72,9 +72,9 @@ def cmd_verify_lattice(args) -> int:
     if args.presentation == "full":
         circ = circuit_mod.build_full(lat)
     else:
-        circ = circuit_mod.build_minimal(lat, "exact")
-    assignments = circuit_mod.definable_assignments(circ)
+        circ = circuit_mod.build_minimal(lat)
     iso_res = circuit_mod.verify_iso(lat, circ)
+    assignments = iso_res.assignments
     report["results"] = {
         "elements": len(lat.elements),
         "gates": len(circ.gates),
@@ -274,7 +274,7 @@ def cmd_export_dot(args) -> int:
         text = "\n".join(lines) + "\n"
         nodes, edges = len(lat.elements), len(lat.poset.covers())
     else:
-        circ = circuit_mod.build_minimal(lat, "exact")
+        circ = circuit_mod.build_minimal(lat)
         lines = ["digraph circuit {"]
         for node in circ.nodes:
             lines.append(f'  "{node}" [shape=circle];')
@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--presentation", choices=["full", "minimal"], default="full")
     v.add_argument("--oracle", type=int, default=0, metavar="N",
                    help="also discretize at pitch 1/N and cross-check")
-    v.set_defaults(func=cmd_verify_lattice)
 
     g = sub.add_parser("gate-oracle", help="definable sets of one gate")
     g.add_argument("--variant", choices=["plain", "dagger"], default="plain")
@@ -321,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--probes", type=int, default=0,
                    help="random closed-set probes against the known family")
     g.add_argument("--seed", type=int, default=0)
-    g.set_defaults(func=cmd_gate_oracle)
 
     t = sub.add_parser("tower", help="chain / exact-pair truncations")
     t.add_argument("--kind", choices=["forward", "reverse", "exact-pair"],
@@ -329,32 +327,32 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=int, default=6)
     t.add_argument("--limit", action="store_true",
                    help="also query the symbolic limit family")
-    t.set_defaults(func=cmd_tower)
 
     f = sub.add_parser("filters", help="filters of a meet-semilattice")
     f.add_argument("file")
     f.add_argument("--include-empty", action="store_true")
     f.add_argument("--as-lattice", action="store_true")
-    f.set_defaults(func=cmd_filters)
 
     y = sub.add_parser("y0", help="truncated rail circuit vs filters")
     y.add_argument("file")
     y.add_argument("--k", type=int, required=True)
-    y.set_defaults(func=cmd_y0)
 
     d = sub.add_parser("export-dot", help="DOT of a Hasse diagram or circuit")
     d.add_argument("what", choices=["hasse", "circuit"])
     d.add_argument("file")
     d.add_argument("-o", "--out", required=True)
-    d.set_defaults(func=cmd_export_dot)
     return p
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # looked up per call, so a rebound cmd_* is the one that runs
+    handler = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (InputError, ValueError, finspace.BudgetExceeded) as exc:
         print(str(exc), file=sys.stderr)
         print(

@@ -357,21 +357,30 @@ def is_crisp(s: DiscreteSpace, a: int) -> bool:
     return True
 
 
-def coproduct(x: DiscreteSpace, y: DiscreteSpace) -> DiscreteSpace:
-    """Disjoint union; all cross distances are 1; topology is the disjoint sum."""
-    off = x.n
-    cells = list(x.cells) + [
-        Cell(off + c.id, c.dim, c.tag) for c in y.cells
-    ]
-    min_open = list(x.min_open) + [m << off for m in y.min_open]
-    dist = dict(x.dist)
-    for (a, b), d in y.dist.items():
-        dist[(a + off, b + off)] = d
+def coproduct(*spaces: DiscreteSpace) -> DiscreteSpace:
+    """Disjoint union, numbering each space as one block in argument order.
+
+    All cross distances are 1 and the topology is the disjoint sum.  The
+    resolution is the gcd of the parts' (1 for no parts); slices survive
+    when every part has them.
+    """
+    cells: list[Cell] = []
+    min_open: list[int] = []
+    dist: dict = {}
+    res = Fraction(0)  # gcd(0, r) = r
+    for s in spaces:
+        off = len(cells)
+        cells += [Cell(off + c.id, c.dim, c.tag) for c in s.cells]
+        min_open += [m << off for m in s.min_open]
+        for (a, b), d in s.dist.items():
+            dist[(a + off, b + off)] = d
+        res = _frac_gcd(res, s.resolution)
     slices = None
-    if x.slices is not None and y.slices is not None:
-        slices = x.slices + y.slices
-    res = _frac_gcd(x.resolution, y.resolution)
-    return DiscreteSpace(tuple(cells), tuple(min_open), dist, slices, res)
+    if spaces and all(s.slices is not None for s in spaces):
+        slices = tuple(v for s in spaces for v in s.slices)
+    return DiscreteSpace(
+        tuple(cells), tuple(min_open), dist, slices, res or Fraction(1)
+    )
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:

@@ -60,14 +60,6 @@ VERTICES = {
     "OUT": (_F(2), _F(0)),
 }
 
-_Y_FN = {
-    "top": lambda x: _F(1),
-    "bot": lambda x: _F(-1),
-    "diag+": lambda x: x,
-    "diag-": lambda x: -x,
-    "zero": lambda x: _F(0),
-}
-
 EDGES = {
     "TL": (_F(-2), _F(-1), "top", ("I1", "A")),
     "TR": (_F(-1), _F(1), "top", ("A", "C")),
@@ -107,8 +99,9 @@ class DiscretizedComplex:
 
     edges/vertices describe the original topological-graph structure after
     soldering; terminals maps each terminal label to its (merged) cell.
-    copies lists, per gate copy, its cells in the copy's own pre-solder
-    numbering, which is the same for every copy and for a one-gate complex.
+    copies[g][i] is the cell that cell i of the one-gate template became in
+    gate copy g: the copy's block of the soldering map, so the local
+    numbering is the same for every copy and for a one-gate complex.
     A node that no gate names is an isolated crisp 0-cell with no rep.
     """
 
@@ -132,6 +125,63 @@ class DiscretizedComplex:
         )
 
 
+def _template(n: int):
+    """One gate copy: its space, each cell's rep and its edge records.
+
+    Geometry runs on the integer half-pitch grid X = 2n·x, Y = 2n·y, where
+    every cell has integer coordinates; each edge is the straight segment
+    between its endpoint vertices.  The vertices come first, in
+    VERTEX_ORDER, then each edge's interior in EDGE_ORDER, alternating
+    1-cells e0, e1, ... with 0-cells v0, v1, ...  Cell tags carry no copy
+    prefix.  Only the distances and the reps are Fractions.
+    """
+    unit = 2 * n
+    grid = [(int(x * unit), int(y * unit)) for x, y in map(VERTICES.get, VERTEX_ORDER)]
+    cells = [Cell(i, 0, v) for i, v in enumerate(VERTEX_ORDER)]
+    min_open = [1 << i for i in range(len(cells))]
+    edge_records = []
+    for ename in EDGE_ORDER:
+        ends = tuple(VERTEX_ORDER.index(v) for v in EDGES[ename][3])
+        (xa, ya), (xb, yb) = grid[ends[0]], grid[ends[1]]
+        slope = (yb - ya) // (xb - xa)
+        first = len(cells)
+        for j in range(1, xb - xa):
+            cid = len(cells)
+            tag = f"{ename}.e{j // 2}" if j % 2 else f"{ename}.v{j // 2 - 1}"
+            cells.append(Cell(cid, j % 2, tag))
+            # a 0-cell opens into its flanking 1-cells
+            min_open.append(1 << cid if j % 2 else 0b111 << cid - 1)
+            grid.append((xa + j, ya + slope * j))
+        min_open[ends[0]] |= 1 << first
+        min_open[ends[1]] |= 1 << len(cells) - 1
+        edge_records.append((ename, range(first, len(cells)), ends))
+
+    # same-x cells outside the crisp region (see in_crisp_region) are metric
+    # witnesses at the larger |y|
+    by_x: dict = {}
+    for i, (x, y) in enumerate(grid):
+        crisp = abs(y) == unit and x <= unit or y == 0 and x >= unit
+        if not crisp:
+            by_x.setdefault(x, []).append(i)
+    # every coordinate lies in [-2, 2], so frac holds each X/unit and Y/unit
+    frac = {v: Fraction(v, unit) for v in range(-2 * unit, 2 * unit + 1)}
+    dist: dict = {}
+    for group in by_x.values():
+        for ai, a in enumerate(group):
+            for b in group[ai + 1:]:
+                d = max(abs(grid[a][1]), abs(grid[b][1]))
+                if d < unit:
+                    dist[(a, b)] = frac[d]
+    space = DiscreteSpace(
+        tuple(cells), tuple(min_open), dist, None, Fraction(1, n)
+    )
+    reps = tuple((frac[x], frac[y]) for x, y in grid)
+    return space, reps, edge_records
+
+
+_TERMINAL_VERTICES = tuple(VERTEX_ORDER.index(v) for v in ("I1", "I2", "OUT"))
+
+
 def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComplex:
     """One gate copy per (in1, in2, out) label triple, soldered by label.
 
@@ -140,88 +190,33 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
     soldered-inputs variant; a triple with one label throughout collapses all
     three terminals.  Each terminal_order label that no gate names becomes an
     isolated crisp 0-cell, a free point.
+
+    The copies are one template laid side by side by finspace.coproduct,
+    which numbers each copy as one block, followed by the free points.
     """
     if n < 2:
         raise ValueError(f"subdivision n must be >= 2, got {n}")
-    h = Fraction(1, n)
-    cells: list[Cell] = []
-    min_open: list[int] = []
-    reps: list[tuple[Fraction, Fraction]] = []
-    cell_copy: list[int] = []
-    edge_records: list[tuple[str, list[int], tuple[int, int]]] = []
+    tmpl, reps, edge_records = _template(n)
+    size = tmpl.n
+    k = len(gate_labels)
+    prefixes = [f"g{g}." for g in range(k)] if k > 1 else [""] * k
+    parts = [
+        replace(tmpl, cells=tuple(Cell(c.id, c.dim, p + c.tag) for c in tmpl.cells))
+        if p else tmpl
+        for p in prefixes
+    ]
     terminal_cells: dict = {}
-    named_vertex_ids: list[int] = []
-    copy_starts: list[int] = []
-    current_copy = 0
-
-    def add_cell(dim: int, tag: str, rep) -> int:
-        cid = len(cells)
-        cells.append(Cell(cid, dim, tag))
-        min_open.append(1 << cid)
-        reps.append(rep)
-        cell_copy.append(current_copy)
-        return cid
-
-    for copy, (l1, l2, l3) in enumerate(gate_labels):
-        current_copy = copy
-        copy_starts.append(len(cells))
-        pfx = f"g{copy}." if len(gate_labels) > 1 else ""
-        vid = {}
-        for vname in VERTEX_ORDER:
-            vid[vname] = add_cell(0, f"{pfx}{vname}", VERTICES[vname])
-            named_vertex_ids.append(vid[vname])
-        for label, vname in ((l1, "I1"), (l2, "I2"), (l3, "OUT")):
-            terminal_cells.setdefault(label, []).append(vid[vname])
-        for ename in EDGE_ORDER:
-            lo, hi, kind, (va, vb) = EDGES[ename]
-            y = _Y_FN[kind]
-            segs = int((hi - lo) * n)
-            chain = [vid[va]]
-            ecells = []
-            for k in range(segs):
-                xm = lo + k * h + h / 2
-                e = add_cell(1, f"{pfx}{ename}.e{k}", (xm, y(xm)))
-                ecells.append(e)
-                chain.append(e)
-                if k < segs - 1:
-                    xv = lo + (k + 1) * h
-                    v = add_cell(0, f"{pfx}{ename}.v{k}", (xv, y(xv)))
-                    ecells.append(v)
-                    chain.append(v)
-            chain.append(vid[vb])
-            # 0-cells open into their flanking 1-cells
-            for idx in range(0, len(chain), 2):
-                v = chain[idx]
-                if idx > 0:
-                    min_open[v] |= 1 << chain[idx - 1]
-                if idx < len(chain) - 1:
-                    min_open[v] |= 1 << chain[idx + 1]
-            edge_records.append(
-                (f"{pfx}{ename}", ecells, (vid[va], vid[vb]))
-            )
-
-    dist: dict = {}
-    by_x: dict = {}
-    # x-slices are metric witnesses only within a single gate copy
-    for i, (x, y) in enumerate(reps):
-        if not in_crisp_region(x, y):
-            by_x.setdefault((cell_copy[i], x), []).append(i)
-    for (_, x), group in by_x.items():
-        for ai in range(len(group)):
-            for bi in range(ai + 1, len(group)):
-                a, b = group[ai], group[bi]
-                d = max(abs(reps[a][1]), abs(reps[b][1]))
-                if d < 1:
-                    dist[(a, b) if a < b else (b, a)] = d
-    copy_size = len(cells) // len(gate_labels) if gate_labels else 0
+    for g, labels in enumerate(gate_labels):
+        for label, v in zip(labels, _TERMINAL_VERTICES):
+            terminal_cells.setdefault(label, []).append(g * size + v)
+    free = []
     for label in terminal_order or ():
         if label not in terminal_cells:
-            terminal_cells[label] = [add_cell(0, f"n.{label}", None)]
-            named_vertex_ids.append(terminal_cells[label][0])
-
-    space = DiscreteSpace(
-        tuple(cells), tuple(min_open), dist, None, Fraction(1, n)
-    )
+            terminal_cells[label] = [k * size + len(free)]
+            free.append(label)
+    points = [finspace.point_space(f"n.{label}") for label in free]
+    # the pitch is 1/n even without gate copies
+    space = replace(finspace.coproduct(*parts, *points), resolution=tmpl.resolution)
 
     groups = []
     group_tags = []
@@ -235,34 +230,36 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
     else:
         old_to_new = tuple(range(space.n))
 
+    old_reps = reps * k + (None,) * len(points)
     new_reps: list = [None] * space.n
     for old, new in enumerate(old_to_new):
-        new_reps[new] = reps[old]
+        new_reps[new] = old_reps[old]
+    copies = tuple(old_to_new[g * size:(g + 1) * size] for g in range(k))
     edges = []
-    for name, ecells, (va, vb) in edge_records:
-        mask = 0
-        for c in ecells:
-            mask |= 1 << old_to_new[c]
-        ea, eb = old_to_new[va], old_to_new[vb]
-        mask |= 1 << ea | 1 << eb
-        edges.append(ComplexEdge(name, mask, (ea, eb)))
-    vertex_ids = sorted({old_to_new[i] for i in named_vertex_ids})
+    for pfx, cells in zip(prefixes, copies):
+        for name, interior, (va, vb) in edge_records:
+            mask = 0
+            for c in interior:
+                mask |= 1 << cells[c]
+            ea, eb = cells[va], cells[vb]
+            mask |= 1 << ea | 1 << eb
+            edges.append(ComplexEdge(f"{pfx}{name}", mask, (ea, eb)))
     terminals = {
         label: old_to_new[ids[0]] for label, ids in terminal_cells.items()
     }
+    vertex_ids = {cells[v] for cells in copies for v in range(len(VERTEX_ORDER))}
+    vertex_ids.update(terminals[label] for label in free)
     if terminal_order is None:
         terminal_order = tuple(sorted(terminals))
     return DiscretizedComplex(
         space,
         tuple(edges),
-        tuple(vertex_ids),
+        tuple(sorted(vertex_ids)),
         terminals,
         tuple(terminal_order),
         tuple(new_reps),
         n,
-        tuple(
-            tuple(old_to_new[start:start + copy_size]) for start in copy_starts
-        ),
+        copies,
     )
 
 

@@ -10,7 +10,7 @@ per-gate state sequence, never by infinite enumeration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import circuit as circuit_mod
@@ -338,12 +338,13 @@ def check_directed_system(stages, embeddings) -> DirectedSystemReport:
                 crisp_viol.append(
                     f"stage {k} image not crisp: d({x},{y})={dval} crosses it"
                 )
+    interiors = [finspace.interior(last, img) for img in images]
     open_stage = []
     ok_open = True
     for cell in range(last.n):
         first = -1
-        for k in range(len(stages)):
-            if finspace.interior(last, images[k]) >> cell & 1:
+        for k, inner in enumerate(interiors):
+            if inner >> cell & 1:
                 first = k
                 break
         if first < 0:
@@ -432,25 +433,13 @@ def build_W(
     if s.slices is None:
         raise ValueError("build_W needs a crisply sliced base space")
     n = s.n
-    cells = []
-    min_open = []
-    copy_of = []
-    base_cell = []
-    slices = []
-    for i in range(3):
-        off = i * n
-        for c in s.cells:
-            tag = f"c{i}:{c.tag}" if c.tag else f"c{i}:{c.id}"
-            cells.append(finspace.Cell(off + c.id, c.dim, tag))
-            copy_of.append(i)
-            base_cell.append(c.id)
-            slices.append(s.slices[c.id])
-        min_open.extend(m << off for m in s.min_open)
-    dist: dict = {}
-    for i in range(3):
-        off = i * n
-        for (a, b), d in s.dist.items():
-            dist[(a + off, b + off)] = d
+    w = finspace.coproduct(*(
+        replace(s, cells=tuple(
+            finspace.Cell(c.id, c.dim, f"c{i}:{c.tag or c.id}") for c in s.cells
+        ))
+        for i in range(3)
+    ))
+    dist = dict(w.dist)
 
     def cross(i: int, j: int, v: Fraction) -> Fraction:
         if (i, j) in ((0, 1), (1, 0)):
@@ -469,10 +458,8 @@ def build_W(
                     d = max(s.distance(a, b), f)
                     if d < 1:
                         dist[(i * n + a, j * n + b)] = d
-    w = DiscreteSpace(
-        tuple(cells), tuple(min_open), dist, tuple(slices), s.resolution
-    )
-    return WSpace(w, tuple(copy_of), tuple(base_cell))
+    copy_of = tuple(i for i in range(3) for _ in range(n))
+    return WSpace(replace(w, dist=dist), copy_of, tuple(range(n)) * 3)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ def test_criterion_01_companion_enumerated_count():
 def test_criterion_02_n5_minimal_presentation():
     started = time.time()
     lat = oc.n5()
-    minimal = cc.build_minimal(lat, "exact")
+    minimal = cc.build_minimal(lat)
     ok = len(minimal.gates) == 4
     ok = ok and cc.is_adequate(lat, minimal.origin[2])
     ok = ok and not cc.smaller_adequate_exists(lat, 4)

@@ -90,25 +90,19 @@ class TestIsAdequate:
 
 class TestBuildMinimal:
     def test_n5_exact_is_four(self):
-        c = cc.build_minimal(oc.n5(), "exact")
+        c = cc.build_minimal(oc.n5())
         assert len(c.gates) == 4
 
     def test_n5_nothing_smaller(self):
         assert not cc.smaller_adequate_exists(oc.n5(), 4)
 
     def test_three_chain(self):
-        c = cc.build_minimal(oc.chain(3), "exact")
+        c = cc.build_minimal(oc.chain(3))
         assert c.gates == ((0, 0, 1),)
 
     def test_two_element_needs_nothing(self):
-        c = cc.build_minimal(oc.chain(2), "exact")
+        c = cc.build_minimal(oc.chain(2))
         assert c.gates == ()
-
-    def test_greedy_is_adequate(self):
-        lat = oc.n5()
-        c = cc.build_minimal(lat, "greedy")
-        triples = c.origin[2]
-        assert cc.is_adequate(lat, triples)
 
 
 def _lattice(elements, covers):
@@ -143,7 +137,7 @@ class TestExactMinimal:
                 for name, ref, size in MINIMUM_SIZES
                 if oc.iso(lat, ref) is not None
             ]
-            c = cc.build_minimal(lat, "exact")
+            c = cc.build_minimal(lat)
             assert len(c.gates) == size, name
             assert cc.is_adequate(lat, c.origin[2])
             if name not in EXHAUSTIVE_TOO_SLOW:
@@ -152,12 +146,12 @@ class TestExactMinimal:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_chain_is_one_rule_per_cover(self, k):
         # the only minimum, so discretized chain circuits keep their gates
-        c = cc.build_minimal(oc.chain(k), "exact")
+        c = cc.build_minimal(oc.chain(k))
         assert c.origin[2] == tuple((i, i, i + 1) for i in range(k - 2))
 
     def test_triples_in_qualifying_order(self):
         lat = oc.m3()
-        triples = cc.build_minimal(lat, "exact").origin[2]
+        triples = cc.build_minimal(lat).origin[2]
         order = cc.qualifying_triples(lat)
         assert list(triples) == sorted(triples, key=order.index)
 
@@ -186,7 +180,7 @@ class TestDefinableAssignments:
     def test_adequacy_invariance(self):
         lat = oc.n5()
         assert cc.definable_assignments(cc.build_full(lat)) == cc.definable_assignments(
-            cc.build_minimal(lat, "exact")
+            cc.build_minimal(lat)
         )
 
 
@@ -203,7 +197,7 @@ class TestSemilattice:
     def test_minimal_report_identical(self):
         lat = oc.n5()
         assert cc.semilattice(cc.build_full(lat)) == cc.semilattice(
-            cc.build_minimal(lat, "exact")
+            cc.build_minimal(lat)
         )
 
     def test_join_is_pointwise_max(self):
@@ -244,7 +238,7 @@ class TestDiscretize:
         assert res.pattern_set == {(0,), (1,)}
 
     def test_three_chain_minimal_oracle(self):
-        c = cc.build_minimal(oc.chain(3), "exact")
+        c = cc.build_minimal(oc.chain(3))
         dc = cc.discretize(c, 8)
         res = gate.oracle(dc)
         assert len(res.definable) == 3
@@ -273,7 +267,7 @@ class TestDiscretize:
 
     def test_assignment_join_is_set_union_downstairs(self):
         # pointwise max of assignments realizes the union of the cell sets
-        c = cc.build_minimal(oc.chain(3), "exact")
+        c = cc.build_minimal(oc.chain(3))
         dc = cc.discretize(c, 6)
         res = gate.oracle(dc)
         by_pattern = dict(zip(res.patterns, res.definable))
@@ -360,7 +354,7 @@ class TestFactorizedOracle:
             cc.glue(c, shapes_n4, 10)
 
     def test_gateless_circuit_needs_no_complex(self):
-        res = cc.oracle(cc.build_minimal(oc.chain(2), "exact"), 4, 1 << 20)
+        res = cc.oracle(cc.build_minimal(oc.chain(2)), 4, 1 << 20)
         assert res == cc.CircuitOracle(((0,), (1,)), 2, ())
 
     def test_free_node_beside_gates(self):
@@ -392,7 +386,7 @@ class TestFactorizedOracle:
             return gate.OracleResult(definable, res.patterns)
 
         monkeypatch.setattr(gate, "oracle", doctored)
-        c = cc.build_minimal(oc.chain(4), "exact")
+        c = cc.build_minimal(oc.chain(4))
         res = cc.oracle(c, 4, 1 << 20)
         assert res.patterns == tuple(cc.definable_assignments(c))
         # the glued sets of (1, 1, 0) and (1, 1, 1) use the doctored set
@@ -468,7 +462,7 @@ class TestFactorizationPreconditions:
 
 class TestCircuitJson:
     def test_round_trip(self):
-        c = cc.build_minimal(oc.n5(), "exact")
+        c = cc.build_minimal(oc.n5())
         back = cc.circuit_from_json(cc.circuit_to_json(c))
         assert back.nodes == c.nodes and back.gates == c.gates
 

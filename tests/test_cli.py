@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latcirc import cli, gate
+from latcirc import circuit, cli, gate
 from latcirc import order_core as oc
 
 N5 = {
@@ -113,6 +113,22 @@ class TestVerifyLattice:
         monkeypatch.setattr(gate, "oracle", one_gate_only)
         code, _ = run(capsys, "verify-lattice", n5_file, "--oracle", "4")
         assert code == 0 and seen and set(seen) == {1}
+
+    @pytest.mark.parametrize("presentation", ["full", "minimal"])
+    def test_assignments_enumerated_once(self, capsys, n5_file, monkeypatch, presentation):
+        calls = []
+        real = circuit.definable_assignments
+
+        def counted(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(circuit, "definable_assignments", counted)
+        code, rep = run(
+            capsys, "verify-lattice", n5_file, "--presentation", presentation, "--oracle", "4"
+        )
+        assert code == 0 and rep["results"]["definables"] == 5
+        assert len(calls) == 1
 
     def test_oracle_budget_exits_2(self, capsys, n5_file):
         code, rep, err = run_err(

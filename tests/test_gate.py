@@ -76,19 +76,32 @@ class TestDiscretize:
             assert dg.r_min == F(2, n)
 
     def test_independent_distance_oracle(self):
-        # recompute every pairwise distance straight from the metric clauses
-        dg = gate.discretize(3)
-        s = dg.space
-        for i in range(s.n):
-            for j in range(i + 1, s.n):
-                (x1, y1), (x2, y2) = dg.reps[i], dg.reps[j]
-                if gate.in_crisp_region(x1, y1) or gate.in_crisp_region(x2, y2):
-                    want = F(1)
-                elif x1 != x2:
-                    want = F(1)
-                else:
-                    want = max(abs(y1), abs(y2))
-                assert s.distance(i, j) == want, (dg.reps[i], dg.reps[j])
+        # recompute every pairwise distance straight from the metric clauses;
+        # cells that share no gate copy are never metric witnesses
+        cases = [
+            [("in1", "in2", "out")],
+            [("a", "a", "c")],
+            [("a", "b", "c"), ("c", "b", "d")],
+        ]
+        for labels in cases:
+            dg = gate.build_complex(labels, 3)
+            s = dg.space
+            owners = [0] * s.n
+            for g, cells in enumerate(dg.copies):
+                for cell in cells:
+                    owners[cell] |= 1 << g
+            for i in range(s.n):
+                for j in range(i + 1, s.n):
+                    (x1, y1), (x2, y2) = dg.reps[i], dg.reps[j]
+                    if not owners[i] & owners[j]:
+                        want = F(1)
+                    elif gate.in_crisp_region(x1, y1) or gate.in_crisp_region(x2, y2):
+                        want = F(1)
+                    elif x1 != x2:
+                        want = F(1)
+                    else:
+                        want = max(abs(y1), abs(y2))
+                    assert s.distance(i, j) == want, (labels, dg.reps[i], dg.reps[j])
 
 
 class TestDagger:

@@ -233,6 +233,19 @@ class TestDirectedSystems:
         assert not rep.crisp
         assert rep.crisp_violations
 
+    def test_open_stage_is_first_covering_stage(self):
+        # b and x arrive at stage 1, but x's minimal open reaches y, which
+        # only stage 2 adds
+        cells = (Cell(0, 0, "a"), Cell(1, 0, "b"), Cell(2, 0, "x"), Cell(3, 1, "y"))
+        stages = [
+            fs.point_space("a"),
+            DiscreteSpace(cells[:3], (0b1, 0b10, 0b100), {}),
+            DiscreteSpace(cells, (0b1, 0b10, 0b1100, 0b1000), {}),
+        ]
+        rep = tower.check_directed_system(stages, [(0,), (0, 1, 2)])
+        assert rep.crisp and rep.eventually_open
+        assert rep.open_stage == (0, 1, 2, 2)
+
     def test_single_stage_vacuous(self):
         rep = tower.check_directed_system([fs.point_space()], [])
         assert rep.crisp and rep.eventually_open
