@@ -1,0 +1,110 @@
+"""Compare the CLI reports of two source trees on lattice and filter inputs.
+
+    python3 scripts/report_parity.py OLD_SRC NEW_SRC [--n 3 4 8]
+
+OLD_SRC and NEW_SRC are `src` directories of two checkouts.  The inputs are
+the hand-written lattices of one to five elements in perfbench/inputs.py
+(also what the benchmark's `oracle` workload reads), the same lattices with
+their top dropped, and malformed posets: a 2-cycle, a 3-cycle, a duplicate
+label, an unknown label and a pair without a meet.  On every input both trees
+run
+
+- `verify-lattice --presentation full` and `--presentation minimal`,
+- `filters --as-lattice`, with and without `--include-empty`,
+- `y0 --k 2`,
+
+and on every lattice of at least two elements `verify-lattice --oracle N` with
+both presentations at each pitch N, under the `--max-candidates 4000000` the
+benchmark gives its two-gate oracle jobs.  Each report, error reports
+included, must be the same apart from `timing_ms`, with the same exit code.
+Exits 1 if any report differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import inputs  # noqa: E402  (perfbench/inputs.py)
+
+MALFORMED = {
+    "cycle2": {"elements": ["x", "y"], "covers": [["x", "y"], ["y", "x"]]},
+    "cycle3": {"elements": ["x", "y", "z"], "leq": [["x", "y"], ["y", "z"], ["z", "x"]]},
+    "duplicate": {"elements": ["x", "y", "x"], "covers": [["x", "y"]]},
+    "unknown": {"elements": ["x"], "covers": [["x", "z"]]},
+    "meetless": {"elements": ["x", "y", "1"], "covers": [["x", "1"], ["y", "1"]]},
+}
+
+COMMANDS = [
+    ["verify-lattice", "--presentation", "full"],
+    ["verify-lattice", "--presentation", "minimal"],
+    ["filters", "--as-lattice"],
+    ["filters", "--as-lattice", "--include-empty"],
+    ["y0", "--k", "2"],
+]
+
+
+def run(src: str, argv: list[str]) -> tuple[int, dict]:
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "latcirc.cli", *argv],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    report = json.loads(proc.stdout)
+    report.pop("timing_ms", None)
+    return proc.returncode, report
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old_src")
+    p.add_argument("new_src")
+    p.add_argument("--n", type=int, nargs="+", default=[3, 4, 8])
+    args = p.parse_args()
+    lattices = inputs.fixed_lattices()
+    texts = {fam.name: fam.to_json() for fam in lattices}
+    texts.update({f"{fam.name}-top": inputs.drop_top(fam).to_json() for fam in lattices})
+    texts.update({name: json.dumps(data) for name, data in MALFORMED.items()})
+    exits: Counter = Counter()
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for name, text in texts.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(text, encoding="utf-8")
+            for cmd, *flags in COMMANDS:
+                runs.append([cmd, str(path), *flags])
+        for fam in lattices:
+            if len(fam.masks) < 2:
+                continue
+            for pres in ("full", "minimal"):
+                for n in args.n:
+                    runs.append(["--max-candidates", "4000000", "verify-lattice",
+                                 str(Path(tmp) / f"{fam.name}.json"),
+                                 "--presentation", pres, "--oracle", str(n)])
+        for argv in runs:
+            name = " ".join(Path(a).stem if a.startswith(tmp) else a for a in argv)
+            old = run(args.old_src, argv)
+            new = run(args.new_src, argv)
+            exits[old[0]] += 1
+            if old == new:
+                print(f"{name}: identical (exit {old[0]})")
+            else:
+                differ += 1
+                print(f"{name}: DIFFERS\n  old {old}\n  new {new}")
+    print(f"{len(runs)} reports, {len(runs) - differ} identical, {differ} differ; "
+          "old exit codes " + ", ".join(f"{k}: {v}" for k, v in sorted(exits.items())))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

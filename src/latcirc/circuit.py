@@ -16,7 +16,9 @@ from itertools import combinations
 from . import finspace
 from . import gate as gate_mod
 from .finspace import BudgetExceeded
-from .order_core import FiniteLattice, MeetSemilattice, closed_sets, filters, horn_closure
+from .order_core import (
+    FiniteLattice, MeetSemilattice, closed_sets, filters, horn_closure, inclusion_lattice,
+)
 
 
 @dataclass(frozen=True)
@@ -228,16 +230,10 @@ class SemilatticeReport:
         return all(x <= y for x, y in zip(self.assignments[i], self.assignments[j]))
 
     def as_lattice(self) -> FiniteLattice:
-        from .order_core import as_lattice, poset_from_pairs
-
-        labels = ["".join(map(str, a)) for a in self.assignments]
-        pairs = [
-            (i, j)
-            for i in range(len(labels))
-            for j in range(len(labels))
-            if i != j and self.leq(i, j)
-        ]
-        return as_lattice(poset_from_pairs(labels, pairs, labels=False))
+        return inclusion_lattice(
+            ["".join(map(str, a)) for a in self.assignments],
+            [sum(x << k for k, x in enumerate(a)) for a in self.assignments],
+        )
 
 
 def semilattice(c: Circuit) -> SemilatticeReport:

@@ -216,7 +216,10 @@ def cmd_filters(args) -> int:
         "filters": [sorted(m.elements[i] for i in f) for f in fs],
     }
     if args.as_lattice:
-        lat = order_core.filter_lattice(m, include_empty=args.include_empty)
+        lat = order_core.inclusion_lattice(
+            [order_core.filter_label(m, f) for f in fs],
+            [sum(1 << i for i in f) for f in fs],
+        )
         report["results"]["lattice"] = {
             "elements": list(lat.elements),
             "bottom": lat.elements[lat.bottom],
@@ -265,14 +268,15 @@ def cmd_export_dot(args) -> int:
     lat, digest = _read_order(args.file, order_core.as_lattice)
     report = _report("export-dot", digest, flags)
     if args.what == "hasse":
+        covers = lat.poset.covers()
         lines = ["digraph hasse {"]
         for e in lat.elements:
             lines.append(f'  "{e}";')
-        for i, j in lat.poset.covers():
+        for i, j in covers:
             lines.append(f'  "{lat.elements[i]}" -> "{lat.elements[j]}";')
         lines.append("}")
         text = "\n".join(lines) + "\n"
-        nodes, edges = len(lat.elements), len(lat.poset.covers())
+        nodes, edges = len(lat.elements), len(covers)
     else:
         circ = circuit_mod.build_minimal(lat)
         lines = ["digraph circuit {"]
@@ -286,8 +290,11 @@ def cmd_export_dot(args) -> int:
         lines.append("}")
         text = "\n".join(lines) + "\n"
         nodes, edges = len(circ.nodes), len(circ.gates)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
     report["results"] = {"written": args.out, "nodes": nodes, "edges": edges}
     report["verdict"] = "pass"
     _emit(report, started)

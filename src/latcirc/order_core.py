@@ -21,8 +21,9 @@ class Poset:
     """A finite partial order over opaque element labels.
 
     ``up[i]`` is a bitmask whose bit ``j`` is set iff element ``i <= j``.
-    Construction validates reflexivity, antisymmetry, and transitivity, so a
-    ``Poset`` in hand is always a genuine partial order.
+    Construction validates distinct labels, reflexivity, antisymmetry, and
+    transitivity, so a ``Poset`` in hand is always a genuine partial order.
+    It is the one validator: the builders below only close and index.
     """
 
     elements: tuple[str, ...]
@@ -31,11 +32,8 @@ class Poset:
     def __post_init__(self):
         n = len(self.elements)
         if len(set(self.elements)) != n:
-            seen = set()
-            for lbl in self.elements:
-                if lbl in seen:
-                    raise OrderError(f"duplicate label {lbl!r}")
-                seen.add(lbl)
+            dup = next(e for i, e in enumerate(self.elements) if e in self.elements[:i])
+            raise OrderError(f"duplicate label {dup!r}")
         if len(self.up) != n:
             raise OrderError("up-mask table size mismatch")
         for i in range(n):
@@ -47,14 +45,11 @@ class Poset:
             for j in range(i + 1, n):
                 if self.up[i] >> j & 1 and self.up[j] >> i & 1:
                     raise OrderError(
-                        "antisymmetry violation between "
+                        "antisymmetry violation (cycle) between "
                         f"{self.elements[i]!r} and {self.elements[j]!r}"
                     )
         for i in range(n):
-            acc = self.up[i]
-            for j in bits(self.up[i]):
-                acc |= self.up[j]
-            if acc != self.up[i]:
+            if any(self.up[j] & ~self.up[i] for j in bits(self.up[i])):
                 raise OrderError(f"leq not transitive at {self.elements[i]!r}")
 
     @property
@@ -94,50 +89,25 @@ class Poset:
         return out
 
 
-def _transitive_reflexive_closure(n: int, rel_pairs, elements) -> tuple[int, ...]:
-    up = [1 << i for i in range(n)]
-    for a, b in rel_pairs:
-        up[a] |= 1 << b
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= up[k]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if up[i] >> j & 1 and up[j] >> i & 1:
-                raise OrderError(
-                    f"antisymmetry violation (cycle) between {elements[i]!r} "
-                    f"and {elements[j]!r}"
-                )
-    return tuple(up)
+def poset_from_pairs(elements, pairs) -> Poset:
+    """Build a poset as the reflexive-transitive closure of the given label pairs.
 
-
-def poset_from_pairs(elements, pairs, *, labels=True) -> Poset:
-    """Build a poset as the reflexive-transitive closure of the given pairs.
-
-    ``pairs`` may be cover pairs or arbitrary leq pairs; labels=False means
-    the pairs are already index pairs.
+    ``pairs`` may be cover pairs or arbitrary leq pairs; ``Poset`` validates
+    the result.
     """
     elements = tuple(elements)
-    seen = set()
-    for lbl in elements:
-        if lbl in seen:
-            raise OrderError(f"duplicate label {lbl!r}")
-        seen.add(lbl)
     idx = {lbl: i for i, lbl in enumerate(elements)}
-    rel = []
+    up = [1 << i for i in range(len(elements))]
     for a, b in pairs:
-        if labels:
-            if a not in idx:
-                raise OrderError(f"unknown element {a!r} in pair")
-            if b not in idx:
-                raise OrderError(f"unknown element {b!r} in pair")
-            rel.append((idx[a], idx[b]))
-        else:
-            rel.append((a, b))
-    up = _transitive_reflexive_closure(len(elements), rel, elements)
-    return Poset(elements, up)
+        for lbl in (a, b):
+            if lbl not in idx:
+                raise OrderError(f"unknown element {lbl!r} in pair")
+        up[idx[a]] |= 1 << idx[b]
+    for k in range(len(up)):  # Warshall, one bitmask row at a time
+        for i in range(len(up)):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return Poset(elements, tuple(up))
 
 
 def parse_poset(text) -> Poset:
@@ -165,112 +135,102 @@ def parse_poset(text) -> Poset:
 
 
 @dataclass(frozen=True)
-class FiniteLattice:
-    """A finite lattice: poset plus total meet/join tables and bounds."""
+class MeetSemilattice:
+    """A finite meet-semilattice: poset plus a total meet table and the bottom."""
 
     poset: Poset
     meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
     bottom: int
+
+    @property
+    def elements(self) -> tuple[str, ...]:
+        return self.poset.elements
+
+    @property
+    def n(self) -> int:
+        return self.poset.n
+
+    def leq(self, i: int, j: int) -> bool:
+        return self.poset.leq(i, j)
+
+
+@dataclass(frozen=True)
+class FiniteLattice(MeetSemilattice):
+    """A finite lattice: a meet-semilattice plus the join table and the top."""
+
+    join: tuple[tuple[int, ...], ...]
     top: int
     # iso's per-element profiles, filled on first use; no part of the value
     _iso_profiles: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    @property
-    def elements(self) -> tuple[str, ...]:
-        return self.poset.elements
-
-    @property
-    def n(self) -> int:
-        return self.poset.n
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.poset.leq(i, j)
-
     def nontop(self) -> list[int]:
         """Indices of the coatom-and-below part: everything except the top."""
         return [i for i in range(self.n) if i != self.top]
 
-    def as_meet_semilattice(self) -> "MeetSemilattice":
+    def as_meet_semilattice(self) -> MeetSemilattice:
         return MeetSemilattice(self.poset, self.meet, self.bottom)
 
 
-def _bound(p: Poset, masks, i: int, j: int, kind: str) -> int:
-    """The member of ``masks[i] & masks[j]`` whose own mask holds all of them.
+def _bounds(p: Poset, masks, kind: str):
+    """The table of pairwise bounds and the bound of all elements.
 
-    On down masks that is the meet of i and j, on up masks their join.
-    """
-    common = masks[i] & masks[j]
-    for k in bits(common):
-        if common & ~masks[k] == 0:
-            return k
-    raise LatticeError(f"no {kind} for pair ({p.elements[i]!r}, {p.elements[j]!r})")
-
-
-def as_lattice(p: Poset) -> FiniteLattice:
-    """Check every pair for a meet and join; fill the tables and bounds.
-
-    Raises ``LatticeError`` naming the first pair (in index order) that lacks
-    a greatest lower bound or least upper bound.
+    The bound of i and j is the member of ``masks[i] & masks[j]`` whose own
+    mask holds all of them: on down masks their meet, on up masks their join.
+    Raises ``LatticeError`` naming the first pair, in index order, that has
+    none.
     """
     n = p.n
-    if n == 0:
-        raise LatticeError("a lattice needs at least one element; 'elements' is empty")
-    down = p.down_masks()
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
+    table = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            meet[i][j] = meet[j][i] = _bound(p, down, i, j, "meet")
-            join[i][j] = join[j][i] = _bound(p, p.up, i, j, "join")
-    bottom = 0
-    top = 0
+            common = masks[i] & masks[j]
+            for k in bits(common):
+                if common & ~masks[k] == 0:
+                    table[i][j] = table[j][i] = k
+                    break
+            else:
+                raise LatticeError(
+                    f"no {kind} for pair ({p.elements[i]!r}, {p.elements[j]!r})"
+                )
+    overall = 0
     for i in range(1, n):
-        bottom = meet[bottom][i]
-        top = join[top][i]
-    return FiniteLattice(
-        p, tuple(map(tuple, meet)), tuple(map(tuple, join)), bottom, top
-    )
-
-
-@dataclass(frozen=True)
-class MeetSemilattice:
-    """A finite meet-semilattice: poset plus a total meet table."""
-
-    poset: Poset
-    meet: tuple[tuple[int, ...], ...]
-    bottom: int | None = None
-
-    @property
-    def elements(self) -> tuple[str, ...]:
-        return self.poset.elements
-
-    @property
-    def n(self) -> int:
-        return self.poset.n
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.poset.leq(i, j)
+        overall = table[overall][i]
+    return tuple(map(tuple, table)), overall
 
 
 def as_meet_semilattice(p: Poset) -> MeetSemilattice:
     """Build a meet-semilattice from a poset in which every pair has a glb."""
-    n = p.n
-    if n == 0:
+    if p.n == 0:
         raise LatticeError(
             "a meet-semilattice needs at least one element; 'elements' is empty"
         )
-    down = p.down_masks()
-    meet = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            meet[i][j] = meet[j][i] = _bound(p, down, i, j, "meet")
-    bottom = 0
-    for i in range(1, n):
-        bottom = meet[bottom][i]
-    return MeetSemilattice(p, tuple(map(tuple, meet)), bottom)
+    return MeetSemilattice(p, *_bounds(p, p.down_masks(), "meet"))
+
+
+def as_lattice(p: Poset) -> FiniteLattice:
+    """``as_meet_semilattice`` plus the join table and the top.
+
+    Raises ``LatticeError`` naming the first pair (in index order) that lacks
+    a greatest lower bound, or failing that a least upper bound.
+    """
+    if p.n == 0:
+        raise LatticeError("a lattice needs at least one element; 'elements' is empty")
+    m = as_meet_semilattice(p)
+    return FiniteLattice(p, m.meet, m.bottom, *_bounds(p, p.up, "join"))
+
+
+def inclusion_lattice(labels, masks) -> FiniteLattice:
+    """The distinct sets ``masks`` (bitmasks) ordered by inclusion, as a lattice.
+
+    ``labels[i]`` names ``masks[i]``; raises ``LatticeError`` when some pair
+    of sets has no greatest lower or least upper bound in the family.
+    """
+    up = tuple(
+        sum(1 << j for j, b in enumerate(masks) if a & ~b == 0) for a in masks
+    )
+    return as_lattice(Poset(tuple(labels), up))
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +355,9 @@ def filter_lattice(m: MeetSemilattice, include_empty: bool = False) -> FiniteLat
     ``as_lattice`` on the inclusion order.
     """
     fs = filters(m, include_empty)
-    labels = [filter_label(m, f) for f in fs]
-    pairs = [
-        (i, j)
-        for i in range(len(fs))
-        for j in range(len(fs))
-        if fs[i] <= fs[j] and i != j
-    ]
-    # inclusion order: smaller filter below larger, matching subset order
-    p = poset_from_pairs(labels, pairs, labels=False)
-    return as_lattice(p)
+    return inclusion_lattice(
+        [filter_label(m, f) for f in fs], [sum(1 << i for i in f) for f in fs]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +443,9 @@ def iso(a: FiniteLattice, b: FiniteLattice) -> dict[int, int] | None:
 # House lattices used throughout the tests and CLI docs
 
 
-def chain(k: int, prefix: str = "c") -> FiniteLattice:
+def chain(k: int) -> FiniteLattice:
     """The k-element chain c0 < c1 < ... (k >= 1)."""
-    labels = [f"{prefix}{i}" for i in range(k)]
+    labels = [f"c{i}" for i in range(k)]
     pairs = [(labels[i], labels[i + 1]) for i in range(k - 1)]
     return as_lattice(poset_from_pairs(labels, pairs))
 

@@ -194,6 +194,12 @@ class TestSemilattice:
         rep = cc.semilattice(cc.build_full(oc.n5()))
         assert oc.iso(rep.as_lattice(), oc.n5()) is not None
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_corpus_reports_iso_to_their_lattice(self, k):
+        for lat in oc.all_lattices_up_to_iso(k):
+            rep = cc.semilattice(cc.build_full(lat))
+            assert oc.iso(rep.as_lattice(), lat) is not None
+
     def test_minimal_report_identical(self):
         lat = oc.n5()
         assert cc.semilattice(cc.build_full(lat)) == cc.semilattice(

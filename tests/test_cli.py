@@ -283,6 +283,15 @@ class TestExportDot:
         assert code == 0 and rep["results"]["edges"] == 4
         assert "AND" in open(out).read()
 
+    @pytest.mark.parametrize("what", ["hasse", "circuit"])
+    @pytest.mark.parametrize("where", ["missing/x.dot", "."])
+    def test_unwritable_output_exits_2(self, capsys, n5_file, tmp_path, what, where):
+        out = str(tmp_path / where)
+        code, rep, err = run_err(capsys, "export-dot", what, n5_file, "-o", out)
+        assert code == 2 and rep["verdict"] == "error"
+        assert rep["error"].startswith(f"cannot write {out}")
+        assert err.count("\n") == 1
+
 
 class TestDeterminism:
     def _strip_timing(self, rep):

@@ -78,6 +78,14 @@ class TestParsePoset:
         p = oc.parse_poset({"elements": ["x", "y"], "leq": [["x", "y"]]})
         assert p.leq(0, 1)
 
+    @pytest.mark.parametrize(
+        "elements,up,match",
+        [(("x", "y"), (0b11, 0b11), "cycle"), (("x", "x"), (0b01, 0b10), "duplicate")],
+    )
+    def test_poset_validates_when_built_directly(self, elements, up, match):
+        with pytest.raises(oc.OrderError, match=match):
+            oc.Poset(elements, up)
+
 
 class TestAsLattice:
     def test_n5_meets_by_brute_force(self):
@@ -148,7 +156,45 @@ class TestFilters:
                 )
 
 
+def drop_top(lat):
+    """The meet-semilattice left when the top of ``lat`` is removed."""
+    e = lat.elements
+    return oc.as_meet_semilattice(
+        oc.poset_from_pairs(
+            [e[i] for i in lat.nontop()],
+            [(e[i], e[j]) for i, j in lat.poset.covers() if j != lat.top],
+        )
+    )
+
+
+CORPUS_UP_TO_6 = [lat for n in range(1, 7) for lat in oc.all_lattices_up_to_iso(n)]
+SEMILATTICES_UP_TO_6 = [
+    pytest.param(lat.as_meet_semilattice(), id=f"lattice{k}")
+    for k, lat in enumerate(CORPUS_UP_TO_6)
+] + [
+    pytest.param(drop_top(lat), id=f"lattice{k}-top")
+    for k, lat in enumerate(CORPUS_UP_TO_6)
+    if lat.n > 1
+]
+
+
 class TestFilterLattice:
+    @pytest.mark.parametrize("include_empty", [False, True])
+    @pytest.mark.parametrize("m", SEMILATTICES_UP_TO_6)
+    def test_order_is_filter_inclusion(self, m, include_empty):
+        fs = oc.filters(m, include_empty)
+        maximal = [i for i in range(m.n) if m.poset.up[i] == 1 << i]
+        if not include_empty and len(maximal) > 1:
+            # the principal filters of two maximal elements meet only in {}
+            with pytest.raises(oc.LatticeError, match="no meet"):
+                oc.filter_lattice(m)
+            return
+        fl = oc.filter_lattice(m, include_empty)
+        assert fl.elements == tuple(oc.filter_label(m, f) for f in fs)
+        for i, f in enumerate(fs):
+            for j, g in enumerate(fs):
+                assert fl.leq(i, j) == (f <= g)
+
     def test_v_diamond(self):
         fl = oc.filter_lattice(oc.v_semilattice(), include_empty=True)
         assert fl.n == 4
@@ -249,8 +295,11 @@ def small_posets(draw):
     n = draw(st.integers(min_value=1, max_value=5))
     pair_bits = draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rel = [upper[k] for k in range(len(upper)) if pair_bits >> k & 1]
-    return oc.poset_from_pairs([f"e{i}" for i in range(n)], rel, labels=False)
+    labels = [f"e{i}" for i in range(n)]
+    rel = [
+        (labels[i], labels[j]) for k, (i, j) in enumerate(upper) if pair_bits >> k & 1
+    ]
+    return oc.poset_from_pairs(labels, rel)
 
 
 @settings(max_examples=100, deadline=None)
