@@ -15,7 +15,16 @@ run
 
 and on every lattice of at least two elements `verify-lattice --oracle N` with
 both presentations at each pitch N, under the `--max-candidates 4000000` the
-benchmark gives its two-gate oracle jobs.  Each report, error reports
+benchmark gives its two-gate oracle jobs.  To pin which error wins when the
+floor 2/N leaves no distance threshold and the budget is also too small, both
+trees also run
+
+- `gate-oracle --variant plain|dagger --n 2|3|4|8`, each with no extra flag,
+  with `--r-min 1`, with `--r-min 1/4` and with `--probes 30 --seed 5`,
+- `verify-lattice --oracle 2|3` on the two-element chain with both
+  presentations,
+
+each with and without `--max-candidates 10`.  Each report, error reports
 included, must be the same apart from `timing_ms`, with the same exit code.
 Exits 1 if any report differs.
 """
@@ -91,6 +100,18 @@ def main() -> int:
                     runs.append(["--max-candidates", "4000000", "verify-lattice",
                                  str(Path(tmp) / f"{fam.name}.json"),
                                  "--presentation", pres, "--oracle", str(n)])
+        floor_runs = []
+        for variant in ("plain", "dagger"):
+            for n in (2, 3, 4, 8):
+                for extra in ([], ["--r-min", "1"], ["--r-min", "1/4"],
+                              ["--probes", "30", "--seed", "5"]):
+                    floor_runs.append(["gate-oracle", "--variant", variant, "--n", str(n), *extra])
+        chain2 = str(Path(tmp) / "l2_chain.json")
+        for pres in ("full", "minimal"):
+            for n in (2, 3):
+                floor_runs.append(["verify-lattice", chain2, "--presentation", pres,
+                                   "--oracle", str(n)])
+        runs += floor_runs + [["--max-candidates", "10", *argv] for argv in floor_runs]
         for argv in runs:
             name = " ".join(Path(a).stem if a.startswith(tmp) else a for a in argv)
             old = run(args.old_src, argv)

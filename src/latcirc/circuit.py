@@ -327,64 +327,28 @@ SPOT_PROBES = 20
 SPOT_SEED = 0
 
 
-class NoThreshold(ValueError):
-    """The floor 2/n leaves no distance threshold in (r_min, 1]."""
+def glue(c: Circuit, patterns, budget: int) -> list[tuple[Assignment, int]]:
+    """Node assignments whose every gate (i, j, k) shows a pattern
+    (x_i, x_j, x_k) among the plain gate's ``patterns``, ascending, each with
+    its number of glued sets: the product over gates of the plain gate's
+    definable sets with that pattern.
 
-    def __init__(self, r_min: Fraction):
-        super().__init__(f"r_min = {r_min} leaves no distance threshold")
-        self.r_min = r_min
-
-
-def gate_shape(g) -> tuple[str, str, str]:
-    """The gate's terminal labels up to renaming: each position is named by
-    the first position holding the same node, so (0, 0, 1) is ("a", "a", "c").
-    Five shapes arise: all distinct, in1=in2, in1=out, in2=out, all equal."""
-    return tuple("abc"[g.index(v)] for v in g)
-
-
-def _slots(g) -> tuple[int, ...]:
-    """The gate's nodes in the order of its shape's sorted terminal labels."""
-    return tuple(v for p, v in enumerate(g) if g.index(v) == p)
-
-
-def shape_oracles(c: Circuit, n: int, budget: int) -> dict:
-    """gate.oracle on a one-gate complex of each shape the circuit uses.
-
-    Raises NoThreshold when the floor leaves a shape no threshold, since
-    then every closed set would pass.
+    A gate that names a node twice reads that node's membership at both
+    terminals, so it only ever sees patterns that agree on its soldered
+    terminals.  Backtracks over node memberships in index order and checks
+    each gate as soon as its last node is set; a node that lies in no gate
+    is a free point, so both of its values pass.  Every membership tried is
+    charged to the budget.  Uses neither horn_closure nor closed_sets, so it
+    stays independent of the symbolic side.
     """
-    out = {}
-    for g in c.gates:
-        shape = gate_shape(g)
-        if shape not in out:
-            dc = gate_mod.build_complex([shape], n)
-            if not finspace.thresholds(dc.space, dc.r_min):
-                raise NoThreshold(dc.r_min)
-            out[shape] = (dc, gate_mod.oracle(dc, budget=budget))
-    return out
-
-
-def glue(c: Circuit, shapes: dict, budget: int) -> list[tuple[Assignment, int]]:
-    """Node assignments whose every gate shows a pattern its shape realizes,
-    ascending, each with its number of glued sets: the product over gates of
-    the shape's definable sets with that pattern.
-
-    Backtracks over node memberships in index order and checks each gate as
-    soon as its last node is set; a node that lies in no gate is a free
-    point, so both of its values pass.  Every membership tried is charged to
-    the budget.  Uses neither horn_closure nor closed_sets, so it stays
-    independent of the symbolic side.
-    """
-    counts = {}
-    for shape, (_, res) in shapes.items():
-        table = counts[shape] = {}
-        for p in res.patterns:
-            table[p] = table.get(p, 0) + 1
+    counts: dict = {}
+    for p in patterns:
+        counts[p] = counts.get(p, 0) + 1
     if not c.n:
         return [((), 1)]
     closing = [[] for _ in range(c.n)]
     for g in c.gates:
-        closing[max(g)].append((counts[gate_shape(g)], _slots(g)))
+        closing[max(g)].append(g)
     out = []
     x = [-1] * c.n
     ways = [1] * (c.n + 1)
@@ -400,8 +364,8 @@ def glue(c: Circuit, shapes: dict, budget: int) -> list[tuple[Assignment, int]]:
         if tried > budget:
             raise BudgetExceeded(f"glue search exceeds the budget of {budget}")
         w = ways[v]
-        for table, slots in closing[v]:
-            w *= table.get(tuple(x[i] for i in slots), 0)
+        for i, j, k in closing[v]:
+            w *= counts.get((x[i], x[j], x[k]), 0)
             if not w:
                 break
         if not w:
@@ -414,11 +378,11 @@ def glue(c: Circuit, shapes: dict, budget: int) -> list[tuple[Assignment, int]]:
     return out
 
 
-def check_factorization(dc, shape_complexes, r_min: Fraction) -> None:
+def check_factorization(dc, one_gate, r_min: Fraction) -> None:
     """Raise AssertionError unless the complex splits into its gate copies.
 
     Checks what the factorized oracle relies on: no stored distance joins
-    cells of two copies, every terminal is a crisp 0-cell, and every shape
+    cells of two copies, every terminal is a crisp 0-cell, and the one-gate
     complex has the complex's thresholds above r_min.
     """
     s = dc.space
@@ -436,10 +400,8 @@ def check_factorization(dc, shape_complexes, r_min: Fraction) -> None:
             raise AssertionError(f"stored distance d({a},{b}) makes a terminal not crisp")
         if copy_of[a] != copy_of[b] or copy_of[a].bit_count() != 1:
             raise AssertionError(f"stored distance d({a},{b}) crosses gate copies")
-    want = finspace.thresholds(s, r_min)
-    for sc in shape_complexes:
-        if finspace.thresholds(sc.space, r_min) != want:
-            raise AssertionError("a gate shape's thresholds differ from the complex's")
+    if finspace.thresholds(one_gate.space, r_min) != finspace.thresholds(s, r_min):
+        raise AssertionError("the one-gate complex's thresholds differ from the complex's")
 
 
 @dataclass(frozen=True)
@@ -450,7 +412,7 @@ class CircuitOracle:
 
 
 def oracle(c: Circuit, n: int, budget: int) -> CircuitOracle:
-    """Definable sets of the discretized circuit, glued from one-gate oracles.
+    """Definable sets of the discretized circuit, glued from the plain gate's.
 
     Why gluing is sound: build_complex lays its gate copies side by side
     with finspace.coproduct, which puts every pair of cells from different
@@ -459,10 +421,13 @@ def oracle(c: Circuit, n: int, budget: int) -> CircuitOracle:
     part in each copy is.  A terminal's minimal open set is the union of its
     flanks in each copy, so the definability test U(d) & ~(d | N_r0(d)) == 0
     of finspace splits copy by copy, and every copy has the same distance
-    values and so the same threshold r0 as the one-gate complex of its
-    shape.  Hence the definable sets of the complex are the consistent
-    choices of one definable set per copy, and a node in no gate is a free
-    point with patterns {0, 1}.
+    values and so the same threshold r0 as the plain gate.  A copy that
+    names a node twice is the plain gate with those terminals soldered, so
+    its definable sets are the plain gate's sets that agree on them.  Hence
+    the definable sets of the complex are the consistent choices of one
+    plain-gate definable set per copy, and a node in no gate is a free point
+    with patterns {0, 1}.  So gate.oracle runs once, on gate.discretize(n),
+    and raises gate.NoThreshold when the floor 2/n leaves no threshold.
 
     check_factorization asserts these preconditions on the assembled
     complex.  Each glued set is then mapped onto the complex's cells through
@@ -473,32 +438,31 @@ def oracle(c: Circuit, n: int, budget: int) -> CircuitOracle:
     """
     if n < 2:
         raise ValueError(f"subdivision n must be >= 2, got {n}")
-    shapes = shape_oracles(c, n, budget)
-    glued = glue(c, shapes, budget)
+    if not c.gates:
+        glued = glue(c, (), budget)
+        return CircuitOracle(tuple(a for a, _ in glued), len(glued), ())
+    one = gate_mod.discretize(n)
+    res = gate_mod.oracle(one, budget=budget)
+    glued = glue(c, res.patterns, budget)
     patterns = tuple(a for a, _ in glued)
     definables = sum(w for _, w in glued)
-    if not c.gates:
-        return CircuitOracle(patterns, definables, ())
     dc = discretize(c, n)
     r_min = dc.r_min
-    check_factorization(dc, [sdc for sdc, _ in shapes.values()], r_min)
-    # each shape set as pre-solder local indices, then per gate as its cells
-    local_sets = {
-        shape: [
-            (p, [i for i, cell in enumerate(sdc.copies[0]) if d >> cell & 1])
-            for d, p in zip(res.definable, res.patterns)
-        ]
-        for shape, (sdc, res) in shapes.items()
-    }
+    check_factorization(dc, one, r_min)
+    # each plain-gate set as pre-solder local indices, then per gate as its cells
+    local_sets = [
+        (p, [i for i, cell in enumerate(one.copies[0]) if d >> cell & 1])
+        for d, p in zip(res.definable, res.patterns)
+    ]
     lifted = []
     for g, cells in zip(c.gates, dc.copies):
         by_pattern: dict = {}
-        for p, locals_ in local_sets[gate_shape(g)]:
+        for p, locals_ in local_sets:
             mask = 0
             for i in locals_:
                 mask |= 1 << cells[i]
             by_pattern.setdefault(p, []).append(mask)
-        lifted.append((_slots(g), by_pattern))
+        lifted.append((g, by_pattern))
     gated = {v for g in c.gates for v in g}
     free = [
         (i, dc.terminals[node]) for i, node in enumerate(c.nodes) if i not in gated
@@ -507,8 +471,8 @@ def oracle(c: Circuit, n: int, budget: int) -> CircuitOracle:
     sets = set()
     for a in patterns:
         partial = [sum(1 << cell for i, cell in free if a[i])]
-        for slots, by_pattern in lifted:
-            options = by_pattern[tuple(a[i] for i in slots)]
+        for g, by_pattern in lifted:
+            options = by_pattern[tuple(a[i] for i in g)]
             partial = [m | o for m in partial for o in options]
         for d in partial:
             sets.add(d)

@@ -40,6 +40,8 @@ def _read_order(path: str, build):
         return build(order_core.parse_poset(raw.decode("utf-8"))), _digest(raw)
     except ValueError as exc:  # OrderError, bad JSON, bad UTF-8
         raise InputError(str(exc)) from exc
+    except RecursionError as exc:  # JSON nested past the parser's depth limit
+        raise InputError(f"cannot parse {path}: nesting too deep") from exc
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -87,7 +89,7 @@ def cmd_verify_lattice(args) -> int:
     if args.oracle:
         try:
             res = circuit_mod.oracle(circ, args.oracle, args.max_candidates)
-        except circuit_mod.NoThreshold as exc:
+        except gate.NoThreshold as exc:
             raise InputError(
                 f"--oracle {args.oracle} leaves no distance threshold above "
                 f"r_min = {exc.r_min}; use --oracle 3 or more"
@@ -126,12 +128,13 @@ def cmd_gate_oracle(args) -> int:
     report = _report("gate-oracle", digest, flags)
     dc = gate.discretize(args.n) if args.variant == "plain" else gate.discretize_dagger(args.n)
     r_min = _parse_fraction(args.r_min) if args.r_min else dc.r_min
-    if not finspace.thresholds(dc.space, r_min):
+    try:
+        res = gate.oracle(dc, r_min, budget=args.max_candidates)
+    except gate.NoThreshold as exc:
         raise InputError(
             f"r_min = {r_min} leaves no distance threshold in (r_min, 1] at "
             f"n = {args.n}; pass a smaller --r-min, e.g. --r-min 1/4"
-        )
-    res = gate.oracle(dc, r_min, budget=args.max_candidates)
+        ) from exc
     expected = gate.expected_patterns(args.variant)
     ok = res.pattern_set == expected and len(res.definable) == len(expected)
     report["results"] = {

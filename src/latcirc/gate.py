@@ -377,12 +377,23 @@ class OracleResult:
         return set(self.patterns)
 
 
+class NoThreshold(ValueError):
+    """The floor r_min leaves no distance threshold in (r_min, 1]."""
+
+    def __init__(self, r_min: Fraction):
+        super().__init__(f"r_min = {r_min} leaves no distance threshold")
+        self.r_min = r_min
+
+
 def oracle(
     dc: DiscretizedComplex,
     r_min: Fraction | None = None,
     budget: int = 1 << 20,
 ) -> OracleResult:
     """Exhaustive saturated-family search for definable sets.
+
+    Raises NoThreshold, before the budget is charged, when the floor leaves
+    no threshold, since then every closed set would pass.
 
     A necessary condition at the single binding threshold prunes candidates
     cheaply, and it factorizes: extra vertices are 0-cells, whose witness
@@ -394,15 +405,15 @@ def oracle(
     if r_min is None:
         r_min = dc.r_min
     s = dc.space
+    binding = finspace.thresholds(s, r_min)
+    if not binding:
+        raise NoThreshold(r_min)
     count = saturated_count(dc, cap=budget)
     if count > budget:
         raise BudgetExceeded(
             f"saturated family exceeds the budget of {budget}"
         )
-    binding = finspace.thresholds(s, r_min)
-    rstar = binding[0] if binding else None
-    if rstar is not None:
-        near_mask = finspace.near_masks(s, rstar)
+    near_mask = finspace.near_masks(s, binding[0])
     need_edge = []
     for e in dc.edges:
         m = 0
@@ -417,34 +428,30 @@ def oracle(
     definable = []
     for idx in range(len(bases)):
         base = bases[idx]
-        if rstar is not None:
-            outside = needs[idx] & ~base
-            ok = True
-            while outside:
-                y = (outside & -outside).bit_length() - 1
-                if not near_mask[y] & base:
-                    ok = False
-                    break
-                outside &= outside - 1
-            if not ok:
-                continue
+        outside = needs[idx] & ~base
+        ok = True
+        while outside:
+            y = (outside & -outside).bit_length() - 1
+            if not near_mask[y] & base:
+                ok = False
+                break
+            outside &= outside - 1
+        if not ok:
+            continue
         pinned = pinneds[idx]
         free = [vlist[i] for i in range(len(vlist)) if not pinned >> i & 1]
-        if rstar is not None:
-            addable = []
-            for v in free:
-                fl = flanks[v] & ~base
-                good = True
-                while fl:
-                    f = (fl & -fl).bit_length() - 1
-                    if not near_mask[f] & base:
-                        good = False
-                        break
-                    fl &= fl - 1
-                if good:
-                    addable.append(v)
-        else:
-            addable = free
+        addable = []
+        for v in free:
+            fl = flanks[v] & ~base
+            good = True
+            while fl:
+                f = (fl & -fl).bit_length() - 1
+                if not near_mask[f] & base:
+                    good = False
+                    break
+                fl &= fl - 1
+            if good:
+                addable.append(v)
         for d in _doubled(base, [1 << v for v in addable]):
             if finspace.is_definable(s, d, r_min):
                 definable.append(d)

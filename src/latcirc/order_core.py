@@ -70,9 +70,6 @@ class Poset:
                 down[j] |= 1 << i
         return tuple(down)
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in bits(self.up[i])]
-
     def covers(self) -> list[tuple[int, int]]:
         """Hasse diagram edges (i, j) with j covering i, by i then j.
 
@@ -168,9 +165,6 @@ class FiniteLattice(MeetSemilattice):
     def nontop(self) -> list[int]:
         """Indices of the coatom-and-below part: everything except the top."""
         return [i for i in range(self.n) if i != self.top]
-
-    def as_meet_semilattice(self) -> MeetSemilattice:
-        return MeetSemilattice(self.poset, self.meet, self.bottom)
 
 
 def _bounds(p: Poset, masks, kind: str):

@@ -165,7 +165,7 @@ def test_criterion_09_y0_truncations():
     started = time.time()
     ok = True
     cases = [
-        (oc.chain(3).as_meet_semilattice(), (0, 1, 2)),
+        (oc.chain(3), (0, 1, 2)),
         (oc.v_semilattice(), (0, 1, 2)),
     ]
     for m, enumeration in cases:
@@ -220,8 +220,8 @@ def test_criterion_11_soldered_y_short_circuit():
     started = time.time()
     ok = True
     cases = [
-        (oc.chain(2).as_meet_semilattice(), (0, 1), 2),
-        (oc.chain(3).as_meet_semilattice(), (0, 1, 2), 3),
+        (oc.chain(2), (0, 1), 2),
+        (oc.chain(3), (0, 1, 2), 3),
         (oc.v_semilattice(), (0, 1, 2), 3),
     ]
     for m, enumeration, k in cases:

@@ -168,7 +168,7 @@ class TestDefinableAssignments:
 
     @pytest.mark.parametrize("lat", [oc.chain(2), oc.chain(4), oc.n5(), oc.m3()])
     def test_off_sets_biject_with_filters(self, lat):
-        m = lat.as_meet_semilattice()
+        m = lat
         c = cc.build_full(lat)
         lm = lat.nontop()
         off_sets = {
@@ -304,60 +304,56 @@ def _two_gate_classes():
 
 
 @pytest.fixture(scope="module")
-def shapes_n4():
-    every_shape = cc.Circuit(
-        ("p", "q", "r"), ((0, 1, 2), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 0, 0))
-    )
-    return cc.shape_oracles(every_shape, 4, 1 << 20)
+def patterns_n4():
+    return gate.oracle(gate.discretize(4)).patterns
+
+
+# Every way one gate can name its nodes, as (in1, in2, out) labels: all
+# distinct, in1 = in2, in1 = out, in2 = out, all equal.
+SOLDERINGS = [("a", "b", "c"), ("a", "a", "c"), ("a", "b", "a"), ("a", "b", "b"), ("a", "a", "a")]
 
 
 class TestFactorizedOracle:
-    def test_gate_shapes_and_slots(self):
-        cases = {
-            (4, 5, 6): (("a", "b", "c"), (4, 5, 6)),
-            (4, 4, 6): (("a", "a", "c"), (4, 6)),
-            (4, 5, 4): (("a", "b", "a"), (4, 5)),
-            (4, 5, 5): (("a", "b", "b"), (4, 5)),
-            (4, 4, 4): (("a", "a", "a"), (4,)),
-        }
-        for g, (shape, slots) in cases.items():
-            assert cc.gate_shape(g) == shape
-            assert cc._slots(g) == slots
-
-    def test_shape_patterns(self, shapes_n4):
-        got = {shape: set(res.patterns) for shape, (_, res) in shapes_n4.items()}
-        assert got == {
-            ("a", "b", "c"): gate.expected_patterns("plain"),
-            ("a", "a", "c"): gate.expected_patterns("dagger"),
-            ("a", "b", "a"): set(product((0, 1), repeat=2)),
-            ("a", "b", "b"): set(product((0, 1), repeat=2)),
-            ("a", "a", "a"): {(0,), (1,)},
-        }
-        for _, res in shapes_n4.values():
-            assert len(res.patterns) == len(set(res.patterns))
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    @pytest.mark.parametrize("labels", SOLDERINGS, ids="".join)
+    def test_soldered_gate_is_plain_gate_restricted(self, n, labels):
+        # the exhaustive reference for the glue: a gate that names a node
+        # twice has exactly the plain gate's sets that agree on those terminals
+        one = gate.build_complex([labels], n)
+        plain = gate.discretize(n)
+        res = gate.oracle(plain)
+        want = set()
+        for d, p in zip(res.definable, res.patterns):
+            if all(p[labels.index(v)] == x for v, x in zip(labels, p)):
+                mask = 0  # soldered terminals share one cell
+                for i, cell in enumerate(plain.copies[0]):
+                    if d >> cell & 1:
+                        mask |= 1 << one.copies[0][i]
+                want.add(mask)
+        assert set(gate.oracle(one).definable) == want
 
     @pytest.mark.parametrize("k", range(2, 8))
-    def test_glue_matches_symbolic_on_corpus(self, shapes_n4, k):
+    def test_glue_matches_symbolic_on_corpus(self, patterns_n4, k):
         # the glue alone: no complex, no spot checks
         for lat in oc.all_lattices_up_to_iso(k):
             c = cc.build_full(lat)
-            glued = cc.glue(c, shapes_n4, 1 << 20)
+            glued = cc.glue(c, patterns_n4, 1 << 20)
             assert [a for a, _ in glued] == cc.definable_assignments(c)
             assert all(w == 1 for _, w in glued)
 
-    def test_glue_free_nodes_and_empty_circuit(self, shapes_n4):
+    def test_glue_free_nodes_and_empty_circuit(self, patterns_n4):
         c = cc.Circuit(("p", "q", "r"), ((0, 0, 1),))
-        glued = cc.glue(c, shapes_n4, 1 << 20)
+        glued = cc.glue(c, patterns_n4, 1 << 20)
         assert [a for a, _ in glued] == brute_assignments(c)
         assert len(glued) == 6
-        gateless = cc.glue(cc.Circuit(("x", "y"), ()), {}, 1 << 20)
+        gateless = cc.glue(cc.Circuit(("x", "y"), ()), (), 1 << 20)
         assert [a for a, _ in gateless] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert cc.glue(cc.Circuit((), ()), {}, 1 << 20) == [((), 1)]
+        assert cc.glue(cc.Circuit((), ()), (), 1 << 20) == [((), 1)]
 
-    def test_glue_budget(self, shapes_n4):
+    def test_glue_budget(self, patterns_n4):
         c = cc.build_full(oc.n5())
         with pytest.raises(fs.BudgetExceeded):
-            cc.glue(c, shapes_n4, 10)
+            cc.glue(c, patterns_n4, 10)
 
     def test_gateless_circuit_needs_no_complex(self):
         res = cc.oracle(cc.build_minimal(oc.chain(2)), 4, 1 << 20)
@@ -370,23 +366,21 @@ class TestFactorizedOracle:
         assert res.definables == 14 and res.refuted == ()
 
     def test_no_threshold(self):
-        with pytest.raises(cc.NoThreshold):
+        with pytest.raises(gate.NoThreshold):
             cc.oracle(cc.build_full(oc.chain(3)), 2, 1 << 20)
         with pytest.raises(ValueError, match="n must be >= 2"):
             cc.oracle(cc.build_full(oc.chain(3)), 1, 1 << 20)
 
     def test_spot_checks_catch_a_wrong_shape_set(self, monkeypatch):
-        # swap the dagger shape's (1, 1) set for a closed set that is not
+        # swap the plain gate's (1, 1, 0) set for a closed set that is not
         # definable: patterns and counts still match, the spot check does not
         real = gate.oracle
 
         def doctored(dc, *args, **kwargs):
             res = real(dc, *args, **kwargs)
-            if dc.terminal_order != ("a", "c"):
-                return res
             bad = gate.edge_mask(dc, "OS")
             definable = tuple(
-                bad if p == (1, 1) else d for d, p in zip(res.definable, res.patterns)
+                bad if p == (1, 1, 0) else d for d, p in zip(res.definable, res.patterns)
             )
             assert not fs.is_definable(dc.space, bad, dc.r_min)
             return gate.OracleResult(definable, res.patterns)
@@ -422,8 +416,7 @@ class TestFactorizationPreconditions:
     def parts(self):
         c = cc.Circuit(("p", "q", "r", "s", "t"), ((0, 1, 2), (2, 3, 4)))
         dc = cc.discretize(c, 3)
-        shapes = [sdc for sdc, _ in cc.shape_oracles(c, 3, 1 << 20).values()]
-        return dc, shapes
+        return dc, gate.discretize(3)
 
     def _with_dist(self, dc, a, b, d):
         dist = dict(dc.space.dist)
@@ -431,39 +424,39 @@ class TestFactorizationPreconditions:
         return replace(dc, space=replace(dc.space, dist=dist))
 
     def test_intact_complex_passes(self, parts):
-        dc, shapes = parts
-        cc.check_factorization(dc, shapes, dc.r_min)
+        dc, one = parts
+        cc.check_factorization(dc, one, dc.r_min)
 
     def test_distance_across_copies(self, parts):
-        dc, shapes = parts
+        dc, one = parts
         d = next(iter(dc.space.dist.values()))
         a = dc.copies[0][dc.reps.index((F(-1, 2), F(1, 2)))]
         b = dc.copies[1][dc.reps.index((F(-1, 2), F(1, 2)))]
         with pytest.raises(AssertionError, match="crosses gate copies"):
-            cc.check_factorization(self._with_dist(dc, a, b, d), shapes, dc.r_min)
+            cc.check_factorization(self._with_dist(dc, a, b, d), one, dc.r_min)
 
     def test_terminal_not_crisp(self, parts):
-        dc, shapes = parts
+        dc, one = parts
         d = next(iter(dc.space.dist.values()))
         t = dc.terminals["r"]
         inner = dc.copies[0][dc.reps.index((F(-1, 2), F(1, 2)))]
         with pytest.raises(AssertionError, match="terminal not crisp"):
-            cc.check_factorization(self._with_dist(dc, t, inner, d), shapes, dc.r_min)
+            cc.check_factorization(self._with_dist(dc, t, inner, d), one, dc.r_min)
 
     def test_terminal_not_a_point(self, parts):
-        dc, shapes = parts
+        dc, one = parts
         t = dc.terminals["r"]
         cells = list(dc.space.cells)
         cells[t] = fs.Cell(t, 1, cells[t].tag)
         broken = replace(dc, space=replace(dc.space, cells=tuple(cells)))
         with pytest.raises(AssertionError, match="not a 0-cell"):
-            cc.check_factorization(broken, shapes, dc.r_min)
+            cc.check_factorization(broken, one, dc.r_min)
 
     def test_shape_thresholds_differ(self, parts):
-        dc, shapes = parts
+        dc, _ = parts
         other = gate.build_complex([("a", "b", "c")], 5)
         with pytest.raises(AssertionError, match="thresholds differ"):
-            cc.check_factorization(dc, shapes + [other], dc.r_min)
+            cc.check_factorization(dc, other, dc.r_min)
 
 
 class TestCircuitJson:
@@ -475,7 +468,7 @@ class TestCircuitJson:
 
 class TestBuildY0:
     def test_three_chain_k2(self):
-        m = oc.chain(3).as_meet_semilattice()
+        m = oc.chain(3)
         c = cc.build_Y0(m, (0, 1, 2), 2)
         assert c.n == 2
         assert set(c.gates) == {

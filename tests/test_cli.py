@@ -112,7 +112,9 @@ class TestVerifyLattice:
 
         monkeypatch.setattr(gate, "oracle", one_gate_only)
         code, _ = run(capsys, "verify-lattice", n5_file, "--oracle", "4")
-        assert code == 0 and seen and set(seen) == {1}
+        # N5's full circuit uses all five ways a gate can name its nodes,
+        # and every gate is glued from one search of the plain gate
+        assert code == 0 and seen == [1]
 
     @pytest.mark.parametrize("presentation", ["full", "minimal"])
     def test_assignments_enumerated_once(self, capsys, n5_file, monkeypatch, presentation):
@@ -174,6 +176,22 @@ class TestMalformedLattice:
         assert "'elements'" in rep["error"]
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command", ["verify-lattice", "filters", "y0 --k 1", "export-dot hasse"]
+    )
+    def test_deep_nesting_exits_2_with_one_line(self, capsys, tmp_path, command):
+        p = tmp_path / "deep.json"
+        p.write_text('{"elements": ' + "[" * 200_000)
+        name, *rest = command.split()
+        if name == "export-dot":
+            argv = [name, *rest, str(p), "-o", str(tmp_path / "out.dot")]
+        else:
+            argv = [name, str(p), *rest]
+        code, rep, err = run_err(capsys, *argv)
+        assert code == 2 and rep["verdict"] == "error"
+        assert "nesting too deep" in rep["error"]
+        assert err.count("\n") == 1
+
     def test_malformed_pairs(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"elements": ["x"], "covers": [[["x"], "x"]]}))
@@ -201,6 +219,10 @@ class TestGateOracle:
         assert code == 2 and rep["verdict"] == "error"
         assert "--r-min" in rep["error"]
         assert err.count("\n") == 1
+
+    def test_floor_refused_before_budget(self, capsys):
+        code, rep = run(capsys, "--max-candidates", "10", "gate-oracle", "--n", "2")
+        assert code == 2 and "--r-min" in rep["error"]
 
     def test_n2_with_smaller_floor(self, capsys):
         code, rep = run(capsys, "gate-oracle", "--n", "2", "--r-min", "1/4")

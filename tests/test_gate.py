@@ -214,8 +214,15 @@ class TestOracle:
         p8 = gate.oracle(gate.discretize(8)).pattern_set
         assert p4 == p8
 
+    def test_no_threshold_refused_before_budget(self):
+        with pytest.raises(gate.NoThreshold):
+            gate.oracle(gate.discretize(2), budget=1)
+        with pytest.raises(gate.NoThreshold):
+            gate.oracle(gate.discretize(4), F(1), budget=1)
+
     def test_budget_guard(self):
-        dg = gate.discretize(2)
+        # n = 4: at n = 2 the floor 2/2 leaves no threshold, refused first
+        dg = gate.discretize(4)
         with pytest.raises(fs.BudgetExceeded):
             gate.oracle(dg, budget=100)
 

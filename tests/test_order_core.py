@@ -117,7 +117,7 @@ class TestAsLattice:
 class TestFilters:
     def test_n5_all_principal(self):
         lat = oc.n5()
-        m = lat.as_meet_semilattice()
+        m = lat
         fs = oc.filters(m)
         assert fs == brute_filters(m)
         assert len(fs) == 5
@@ -125,7 +125,7 @@ class TestFilters:
         assert set(fs) == principals
 
     def test_two_chain(self):
-        m = oc.chain(2).as_meet_semilattice()
+        m = oc.chain(2)
         assert oc.filters(m) == [frozenset({1}), frozenset({0, 1})]
 
     def test_v_with_empty(self):
@@ -137,18 +137,18 @@ class TestFilters:
 
     def test_count_equals_lattice_size(self):
         for lat in (oc.chain(2), oc.chain(4), oc.n5(), oc.m3()):
-            assert len(oc.filters(lat.as_meet_semilattice())) == lat.n
+            assert len(oc.filters(lat)) == lat.n
 
     def test_closed_under_intersection(self):
         for lat in (oc.n5(), oc.m3()):
-            m = lat.as_meet_semilattice()
+            m = lat
             fs = oc.filters(m)
             for f, g in combinations(fs, 2):
                 assert f & g in fs
 
     def test_principal_filter_antitone(self):
         lat = oc.n5()
-        m = lat.as_meet_semilattice()
+        m = lat
         for a in range(5):
             for b in range(5):
                 assert lat.leq(a, b) == (
@@ -169,7 +169,7 @@ def drop_top(lat):
 
 CORPUS_UP_TO_6 = [lat for n in range(1, 7) for lat in oc.all_lattices_up_to_iso(n)]
 SEMILATTICES_UP_TO_6 = [
-    pytest.param(lat.as_meet_semilattice(), id=f"lattice{k}")
+    pytest.param(lat, id=f"lattice{k}")
     for k, lat in enumerate(CORPUS_UP_TO_6)
 ] + [
     pytest.param(drop_top(lat), id=f"lattice{k}-top")
@@ -205,12 +205,12 @@ class TestFilterLattice:
         assert fl.elements[fl.bottom] == "{}"
 
     def test_two_chain(self):
-        fl = oc.filter_lattice(oc.chain(2).as_meet_semilattice())
+        fl = oc.filter_lattice(oc.chain(2))
         assert fl.n == 2 and fl.leq(fl.bottom, fl.top)
 
     def test_n5_filter_lattice_iso_to_n5(self):
         lat = oc.n5()
-        fl = oc.filter_lattice(lat.as_meet_semilattice())
+        fl = oc.filter_lattice(lat)
         mapping = oc.iso(fl, lat)
         assert mapping is not None
         assert brute_iso(fl, lat) is not None

@@ -362,7 +362,7 @@ class TestCoverRadius:
 
 class TestYTruncation:
     def test_two_chain_k2(self):
-        m = oc.chain(2).as_meet_semilattice()
+        m = oc.chain(2)
         yt = tower.solder_Y_truncation(m, (0, 1), 2)
         rep = tower.verify_short_circuit(yt)
         assert rep.ok
