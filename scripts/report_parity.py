@@ -24,9 +24,16 @@ trees also run
 - `verify-lattice --oracle 2|3` on the two-element chain with both
   presentations,
 
-each with and without `--max-candidates 10`.  Each report, error reports
-included, must be the same apart from `timing_ms`, with the same exit code.
-Exits 1 if any report differs.
+each with and without `--max-candidates 10`.  They also run
+
+- `tower --kind forward|reverse|exact-pair --n 1|3|6`, each with and without
+  `--limit`,
+- `export-dot hasse|circuit` on every lattice of at least two elements; both
+  trees write to the same `-o` path, and the written file's bytes count as
+  part of the report.
+
+Each report, error reports included, must be the same apart from
+`timing_ms`, with the same exit code.  Exits 1 if any report differs.
 """
 
 from __future__ import annotations
@@ -62,7 +69,11 @@ COMMANDS = [
 ]
 
 
-def run(src: str, argv: list[str]) -> tuple[int, dict]:
+def run(src: str, argv: list[str]) -> tuple[int, dict, bytes | None]:
+    """Exit code, report without `timing_ms`, and the bytes written to `-o`."""
+    out = Path(argv[argv.index("-o") + 1]) if "-o" in argv else None
+    if out is not None:
+        out.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "latcirc.cli", *argv],
@@ -70,7 +81,8 @@ def run(src: str, argv: list[str]) -> tuple[int, dict]:
     )
     report = json.loads(proc.stdout)
     report.pop("timing_ms", None)
-    return proc.returncode, report
+    written = out.read_bytes() if out is not None and out.exists() else None
+    return proc.returncode, report, written
 
 
 def main() -> int:
@@ -95,11 +107,17 @@ def main() -> int:
         for fam in lattices:
             if len(fam.masks) < 2:
                 continue
+            path = str(Path(tmp) / f"{fam.name}.json")
             for pres in ("full", "minimal"):
                 for n in args.n:
-                    runs.append(["--max-candidates", "4000000", "verify-lattice",
-                                 str(Path(tmp) / f"{fam.name}.json"),
+                    runs.append(["--max-candidates", "4000000", "verify-lattice", path,
                                  "--presentation", pres, "--oracle", str(n)])
+            for what in ("hasse", "circuit"):
+                runs.append(["export-dot", what, path, "-o", str(Path(tmp) / "out.dot")])
+        for kind in ("forward", "reverse", "exact-pair"):
+            for n in (1, 3, 6):
+                for extra in ([], ["--limit"]):
+                    runs.append(["tower", "--kind", kind, "--n", str(n), *extra])
         floor_runs = []
         for variant in ("plain", "dagger"):
             for n in (2, 3, 4, 8):

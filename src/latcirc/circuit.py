@@ -16,9 +16,7 @@ from itertools import combinations
 from . import finspace
 from . import gate as gate_mod
 from .finspace import BudgetExceeded
-from .order_core import (
-    FiniteLattice, MeetSemilattice, closed_sets, filters, horn_closure, inclusion_lattice,
-)
+from .order_core import FiniteLattice, MeetSemilattice, closed_sets, filters, horn_closure
 
 
 @dataclass(frozen=True)
@@ -68,22 +66,6 @@ def definable_assignments(c: Circuit) -> list[Assignment]:
 
 # ---------------------------------------------------------------------------
 # Lattice circuits
-
-
-def circuit_to_json(c: Circuit) -> str:
-    import json
-
-    return json.dumps(
-        {"nodes": list(c.nodes), "gates": [list(g) for g in c.gates]},
-        sort_keys=True,
-    )
-
-
-def circuit_from_json(text: str) -> Circuit:
-    import json
-
-    data = json.loads(text)
-    return Circuit(tuple(data["nodes"]), tuple(tuple(g) for g in data["gates"]))
 
 
 def qualifying_triples(l: FiniteLattice) -> list[tuple[int, int, int]]:
@@ -217,39 +199,6 @@ def smaller_adequate_exists(l: FiniteLattice, size: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Semilattice of assignments
-
-
-@dataclass(frozen=True)
-class SemilatticeReport:
-    assignments: tuple[Assignment, ...]
-    join_table: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
-
-    def leq(self, i: int, j: int) -> bool:
-        return all(x <= y for x, y in zip(self.assignments[i], self.assignments[j]))
-
-    def as_lattice(self) -> FiniteLattice:
-        return inclusion_lattice(
-            ["".join(map(str, a)) for a in self.assignments],
-            [sum(x << k for k, x in enumerate(a)) for a in self.assignments],
-        )
-
-
-def semilattice(c: Circuit) -> SemilatticeReport:
-    """Assignments under pointwise order; join is pointwise max."""
-    assignments = definable_assignments(c)
-    index = {a: i for i, a in enumerate(assignments)}
-    join = []
-    for a in assignments:
-        row = []
-        for b in assignments:
-            j = tuple(max(x, y) for x, y in zip(a, b))
-            row.append(index[j])  # Horn-closedness keeps the join inside
-        join.append(tuple(row))
-    bottom = index[tuple([0] * c.n)]
-    top = index[tuple([1] * c.n)]
-    return SemilatticeReport(tuple(assignments), tuple(join), bottom, top)
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ def cmd_tower(args) -> int:
     circ = tower.truncate(kind, args.n)
     assignments = circuit_mod.definable_assignments(circ)
     expected = args.n + 4 if kind is tower.TowerKind.EXACT_PAIR else args.n + 2
-    fam = tower.limit_definables(kind)
+    fam = tower.LimitFamily(kind)
     assignment_set = set(assignments)
     coherent = all(
         tower.restrict(d, args.n) in assignment_set
@@ -265,6 +265,11 @@ def cmd_y0(args) -> int:
     return 0 if match else 1
 
 
+def _dot_id(label: str) -> str:
+    """A DOT quoted string naming ``label``; distinct labels stay distinct."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def cmd_export_dot(args) -> int:
     started = time.time()
     flags = {"what": args.what, "out": args.out}
@@ -272,24 +277,26 @@ def cmd_export_dot(args) -> int:
     report = _report("export-dot", digest, flags)
     if args.what == "hasse":
         covers = lat.poset.covers()
+        ids = [_dot_id(e) for e in lat.elements]
         lines = ["digraph hasse {"]
-        for e in lat.elements:
-            lines.append(f'  "{e}";')
+        for e in ids:
+            lines.append(f"  {e};")
         for i, j in covers:
-            lines.append(f'  "{lat.elements[i]}" -> "{lat.elements[j]}";')
+            lines.append(f"  {ids[i]} -> {ids[j]};")
         lines.append("}")
         text = "\n".join(lines) + "\n"
         nodes, edges = len(lat.elements), len(covers)
     else:
         circ = circuit_mod.build_minimal(lat)
+        ids = [_dot_id(node) for node in circ.nodes]
         lines = ["digraph circuit {"]
-        for node in circ.nodes:
-            lines.append(f'  "{node}" [shape=circle];')
+        for node in ids:
+            lines.append(f"  {node} [shape=circle];")
         for gi, (i, j, k) in enumerate(circ.gates):
             lines.append(f'  gate{gi} [shape=box, label="AND"];')
-            lines.append(f'  "{circ.nodes[i]}" -> gate{gi};')
-            lines.append(f'  "{circ.nodes[j]}" -> gate{gi};')
-            lines.append(f'  gate{gi} -> "{circ.nodes[k]}";')
+            lines.append(f"  {ids[i]} -> gate{gi};")
+            lines.append(f"  {ids[j]} -> gate{gi};")
+            lines.append(f"  gate{gi} -> {ids[k]};")
         lines.append("}")
         text = "\n".join(lines) + "\n"
         nodes, edges = len(circ.nodes), len(circ.gates)

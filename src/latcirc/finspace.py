@@ -8,11 +8,10 @@ Distance storage is sparse: only pairs at distance < 1 are recorded, every
 other distinct pair is at distance exactly 1.
 
 Each space is compiled once, on first use, into a private bitmask view held
-on the instance (it takes no part in equality, repr or serialization): the
-closure mask of every cell, the sorted distance values, and, built lazily per
-radius r, one mask per cell of the cells strictly within r.  Closure,
-expansion, thresholds and the closed-set generators read that view instead
-of rebuilding it.
+on the instance (it takes no part in equality or repr): the closure mask of
+every cell, the sorted distance values, and, built lazily per radius r, one
+mask per cell of the cells strictly within r.  Closure, expansion, thresholds
+and the closed-set generators read that view instead of rebuilding it.
 
 Definability needs only the smallest threshold r0 above the floor.  The
 expansion of d grows with r and interior is monotone, so d inside
@@ -24,7 +23,6 @@ of d, the whole test is U(d) & ~(d | N(d)) == 0.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -249,15 +247,6 @@ def near_masks(s: DiscreteSpace, r: Fraction) -> tuple[int, ...]:
     return _view(s).near(s, r)
 
 
-def distance_values(s: DiscreteSpace) -> list[Fraction]:
-    """Distinct positive distances, ascending.
-
-    Unstored distinct pairs sit at distance 1, so 1 belongs to the value set
-    exactly when some distinct pair is missing from the sparse table.
-    """
-    return list(_view(s).values)
-
-
 def thresholds(s: DiscreteSpace, r_min: Fraction) -> list[Fraction]:
     vals = _view(s).values
     return [v for v in vals[bisect_right(vals, r_min):] if v <= 1]
@@ -479,22 +468,15 @@ def all_closed_sets(s: DiscreteSpace, budget: int) -> list[int]:
 def enumerate_definable(
     s: DiscreteSpace,
     r_min: Fraction,
-    candidates=None,
+    candidates,
     budget: int = 1 << 20,
 ) -> list[int]:
-    """Members of the candidate family passing is_definable, ascending by mask.
-
-    With candidates=None the family is every closed set, enumerable only for
-    small spaces; the budget guards the blowup either way.
-    """
-    if candidates is None:
-        pool = all_closed_sets(s, budget)
-    else:
-        pool = list(candidates)
-        if len(pool) > budget:
-            raise BudgetExceeded(
-                f"{len(pool)} candidates exceed the budget of {budget}"
-            )
+    """Members of the candidate family passing is_definable, ascending by mask."""
+    pool = list(candidates)
+    if len(pool) > budget:
+        raise BudgetExceeded(
+            f"{len(pool)} candidates exceed the budget of {budget}"
+        )
     out = [d for d in pool if is_definable(s, d, r_min)]
     out.sort()
     return out
@@ -515,60 +497,6 @@ def random_closed_sets(s: DiscreteSpace, count: int, seed: int) -> list[int]:
             c |= cl[x]  # cl[x] holds x itself
         out.append(c)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
-
-
-def to_json(s: DiscreteSpace) -> str:
-    """JSON form; distances below 1 only, as exact 'p/q' strings."""
-    data = {
-        "cells": [[c.id, c.dim, c.tag] for c in s.cells],
-        "min_open": [sorted(bits(m)) for m in s.min_open],
-        "dist": [[a, b, _frac_str(d)] for (a, b), d in sorted(s.dist.items())],
-        "resolution": _frac_str(s.resolution),
-    }
-    if s.slices is not None:
-        data["slices"] = [_frac_str(v) for v in s.slices]
-    return json.dumps(data, sort_keys=True)
-
-
-def from_json(text: str) -> DiscreteSpace:
-    data = json.loads(text)
-    cells = tuple(Cell(i, d, t) for i, d, t in data["cells"])
-    min_open = tuple(cellset(ids) for ids in data["min_open"])
-    dist = {(a, b): _parse_frac(v) for a, b, v in data["dist"]}
-    slices = None
-    if "slices" in data:
-        slices = tuple(_parse_frac(v) for v in data["slices"])
-    return DiscreteSpace(
-        cells, min_open, dist, slices, _parse_frac(data["resolution"])
-    )
-
-
-def to_dot(s: DiscreteSpace) -> str:
-    """DOT rendering of the specialization preorder (edges: face -> coface)."""
-    lines = ["digraph specialization {"]
-    for c in s.cells:
-        label = c.tag if c.tag else f"cell{c.id}"
-        shape = "circle" if c.dim == 0 else "box"
-        lines.append(f'  c{c.id} [label="{label}", shape={shape}];')
-    for y in range(s.n):
-        for x in bits(s.min_open[y]):
-            if x != y:
-                lines.append(f"  c{x} -> c{y};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def point_space(tag: str = "pt") -> DiscreteSpace:

@@ -111,7 +111,7 @@ def parse_poset(text) -> Poset:
     """Parse a poset from JSON text (or an already-decoded dict).
 
     Expected shape: ``{"elements": [...], "covers": [[a, b], ...]}`` or the
-    same with a ``"leq"`` key listing arbitrary order pairs.
+    same with a ``"leq"`` key listing arbitrary order pairs, never both.
     """
     data = json.loads(text) if isinstance(text, (str, bytes)) else text
     if not isinstance(data, dict) or "elements" not in data:
@@ -121,6 +121,8 @@ def parse_poset(text) -> Poset:
         isinstance(e, str) for e in elements
     ):
         raise OrderError("'elements' must be a list of string labels")
+    if "covers" in data and "leq" in data:
+        raise OrderError("give either 'covers' or 'leq', not both")
     key = "covers" if "covers" in data else "leq"
     pairs = data.get(key, [])
     if not isinstance(pairs, list) or not all(

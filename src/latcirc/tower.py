@@ -57,11 +57,6 @@ def truncate(kind: TowerKind, n: int) -> Circuit:
     return Circuit(tuple(nodes), gates, ("tower", kind, n))
 
 
-def gadget_circuit() -> Circuit:
-    """The exact-pair gadget alone: apex x with side nodes a, b."""
-    return Circuit(("x", "a", "b"), ((0, 0, 1), (0, 0, 2), (1, 2, 0)))
-
-
 # Per-gate terminal memberships: does the state contain the shared g-side
 # vertex, and does it contain the out-side vertex?
 _G_IN = {FULL: 1, E_STATE: 1, EMPTY: 0}
@@ -119,12 +114,6 @@ class LimitSet:
 
     def state(self, i: int) -> str:
         return self.prefix[i] if i < len(self.prefix) else self.tail
-
-    def serialize(self) -> dict:
-        out = {"prefix": list(self.prefix), "tail": self.tail}
-        if self.kind is TowerKind.EXACT_PAIR:
-            out["gadget"] = list(self.gadget)
-        return out
 
 
 class LimitFamily:
@@ -252,10 +241,6 @@ class LimitFamily:
                         "missing meet but a lower bound looks maximal"
                     )
         return meet, lbs, meet is not None
-
-
-def limit_definables(kind: TowerKind) -> LimitFamily:
-    return LimitFamily(kind)
 
 
 def restrict(d: LimitSet, n: int) -> tuple:

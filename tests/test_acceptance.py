@@ -141,7 +141,7 @@ def test_criterion_07_tower_counts():
                     for b in asgs
                 )
                 ok = ok and chain_ok
-            fam = tower.limit_definables(kind)
+            fam = tower.LimitFamily(kind)
             members = set(asgs)
             ok = ok and all(
                 tower.restrict(d, n) in members for d in fam.elements(10)
@@ -154,7 +154,7 @@ def test_criterion_07_tower_counts():
 
 def test_criterion_08_exact_pair():
     started = time.time()
-    fam = tower.limit_definables(TowerKind.EXACT_PAIR)
+    fam = tower.LimitFamily(TowerKind.EXACT_PAIR)
     meet, lbs, has_max = fam.meet_analysis(fam.side("a"), fam.side("b"), 8)
     ok = meet is None and not has_max and len(lbs) == 9
     ok = ok and all(w.tail == tower.EMPTY for w in lbs)

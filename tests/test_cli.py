@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -283,6 +284,15 @@ class TestFilters:
         assert code == 0 and rep["results"]["count"] == 2
 
 
+    def test_covers_and_leq_together_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "both.json"
+        p.write_text(json.dumps({"elements": ["a", "b"], "covers": [], "leq": [["a", "b"]]}))
+        code, rep, err = run_err(capsys, "filters", str(p))
+        assert code == 2 and rep["verdict"] == "error"
+        assert "not both" in rep["error"]
+        assert err.count("\n") == 1
+
+
 class TestY0:
     def test_v_k3(self, capsys, v_file):
         code, rep = run(capsys, "y0", v_file, "--k", "3")
@@ -304,6 +314,27 @@ class TestExportDot:
         code, rep = run(capsys, "export-dot", "circuit", n5_file, "-o", out)
         assert code == 0 and rep["results"]["edges"] == 4
         assert "AND" in open(out).read()
+
+    @pytest.mark.parametrize(
+        "what,names",
+        [("hasse", ['"a\\"b"', '"c\\\\"']), ("circuit", ['"x_a\\"b"', '"x_c\\\\"'])],
+    )
+    def test_labels_with_quote_and_backslash_are_escaped(self, capsys, tmp_path, what, names):
+        p = tmp_path / "odd.json"
+        p.write_text(json.dumps(
+            {"elements": ["0", 'a"b', "c\\", "1"],
+             "covers": [["0", 'a"b'], ['a"b', "c\\"], ["c\\", "1"]]}
+        ))
+        out = tmp_path / "odd.dot"
+        code, _ = run(capsys, "export-dot", what, str(p), "-o", str(out))
+        assert code == 0
+        text = out.read_text()
+        for name in names:
+            assert name in text
+        for line in text.splitlines():
+            # every quote and backslash sits inside a whole quoted string
+            rest = re.sub(r'"(?:[^"\\]|\\.)*"', "", line)
+            assert '"' not in rest and "\\" not in rest, line
 
     @pytest.mark.parametrize("what", ["hasse", "circuit"])
     @pytest.mark.parametrize("where", ["missing/x.dot", "."])

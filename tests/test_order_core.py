@@ -78,6 +78,10 @@ class TestParsePoset:
         p = oc.parse_poset({"elements": ["x", "y"], "leq": [["x", "y"]]})
         assert p.leq(0, 1)
 
+    def test_covers_and_leq_together_rejected(self):
+        with pytest.raises(oc.OrderError, match="not both"):
+            oc.parse_poset({"elements": ["a", "b"], "covers": [], "leq": [["a", "b"]]})
+
     @pytest.mark.parametrize(
         "elements,up,match",
         [(("x", "y"), (0b11, 0b11), "cycle"), (("x", "x"), (0b01, 0b10), "duplicate")],

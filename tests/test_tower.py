@@ -78,7 +78,7 @@ class TestTruncate:
 
 class TestGadget:
     def test_four_assignments_every_nonempty_holds_apex(self):
-        c = tower.gadget_circuit()
+        c = cc.Circuit(("x", "a", "b"), ((0, 0, 1), (0, 0, 2), (1, 2, 0)))
         asgs = cc.definable_assignments(c)
         assert len(asgs) == 4
         for a in asgs:
@@ -90,28 +90,28 @@ class TestGadget:
 
 class TestLimitSets:
     def test_forward_order(self):
-        fam = tower.limit_definables(FC)
+        fam = tower.LimitFamily(FC)
         assert fam.leq(fam.d(2), fam.d(5))
         assert not fam.leq(fam.d(5), fam.d(2))
         assert fam.leq(fam.d(5), fam.top())
         assert fam.leq(fam.bot(), fam.d(0))
 
     def test_reverse_order_descending(self):
-        fam = tower.limit_definables(RC)
+        fam = tower.LimitFamily(RC)
         assert fam.leq(fam.d(5), fam.d(2))
         assert fam.leq(fam.d(0), fam.top())
         assert fam.leq(fam.bot(), fam.d(7))
 
     def test_infinity_membership(self):
-        fam = tower.limit_definables(FC)
+        fam = tower.LimitFamily(FC)
         assert not fam.d(3).contains_infinity
         assert fam.top().contains_infinity
-        famr = tower.limit_definables(RC)
+        famr = tower.LimitFamily(RC)
         assert famr.d(3).contains_infinity
         assert not famr.bot().contains_infinity
 
     def test_tail_empty_has_finite_support(self):
-        d = tower.limit_definables(FC).d(4)
+        d = tower.LimitFamily(FC).d(4)
         assert d.tail == tower.EMPTY
         assert all(d.state(i) == tower.EMPTY for i in range(5, 40))
 
@@ -123,15 +123,11 @@ class TestLimitSets:
         with pytest.raises(ValueError):
             tower.LimitSet(FC, (tower.E_STATE,), tower.FULL)
 
-    def test_serialize(self):
-        d = tower.limit_definables(FC).d(1)
-        assert d.serialize() == {"prefix": ["full", "E"], "tail": "empty"}
-
     def test_redundant_prefixes_canonicalize(self):
-        fam = tower.limit_definables(FC)
+        fam = tower.LimitFamily(FC)
         assert tower.LimitSet(FC, (tower.EMPTY, tower.EMPTY), tower.EMPTY) == fam.bot()
         assert tower.LimitSet(FC, (tower.FULL,), tower.FULL) == fam.top()
-        famr = tower.limit_definables(RC)
+        famr = tower.LimitFamily(RC)
         spelled_out = tower.LimitSet(
             RC, (tower.EMPTY, tower.E_STATE, tower.FULL), tower.FULL
         )
@@ -139,7 +135,7 @@ class TestLimitSets:
         assert famr.leq(spelled_out, famr.d(0))
 
     def test_joins_and_meets_on_chains(self):
-        fam = tower.limit_definables(FC)
+        fam = tower.LimitFamily(FC)
         assert fam.join(fam.d(2), fam.d(5)) == fam.d(5)
         assert fam.meet_exists(fam.d(2), fam.d(5)) == fam.d(2)
         assert fam.join(fam.d(2), fam.top()) == fam.top()
@@ -148,12 +144,12 @@ class TestLimitSets:
 
 class TestExactPairFamily:
     def test_no_meet(self):
-        fam = tower.limit_definables(EP)
+        fam = tower.LimitFamily(EP)
         xa, xb = fam.side("a"), fam.side("b")
         assert fam.meet_exists(xa, xb) is None
 
     def test_meet_analysis(self):
-        fam = tower.limit_definables(EP)
+        fam = tower.LimitFamily(EP)
         meet, lbs, has_max = fam.meet_analysis(fam.side("a"), fam.side("b"), 8)
         assert meet is None and not has_max
         assert len(lbs) == 9  # bottom plus eight chain sets
@@ -161,11 +157,11 @@ class TestExactPairFamily:
             assert fam.strictly_between(w, fam.side("a"), fam.side("b")) is not None
 
     def test_join_of_sides_is_top(self):
-        fam = tower.limit_definables(EP)
+        fam = tower.LimitFamily(EP)
         assert fam.join(fam.side("a"), fam.side("b")) == fam.top()
 
     def test_sides_incomparable_above_chain(self):
-        fam = tower.limit_definables(EP)
+        fam = tower.LimitFamily(EP)
         xa, xb = fam.side("a"), fam.side("b")
         assert not fam.leq(xa, xb) and not fam.leq(xb, xa)
         for beta in range(4):
@@ -174,12 +170,12 @@ class TestExactPairFamily:
 
 class TestRestrict:
     def test_forward_d2_at_5(self):
-        fam = tower.limit_definables(FC)
+        fam = tower.LimitFamily(FC)
         assert tower.restrict(fam.d(2), 5) == (1, 1, 1, 0, 0, 0)
 
     def test_top_bottom(self):
         for kind in (FC, RC, EP):
-            fam = tower.limit_definables(kind)
+            fam = tower.LimitFamily(kind)
             n = 4
             top = tower.restrict(fam.top(), n)
             bot = tower.restrict(fam.bot(), n)
@@ -189,7 +185,7 @@ class TestRestrict:
     @pytest.mark.parametrize("kind", [FC, RC, EP])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_coherence(self, kind, n):
-        fam = tower.limit_definables(kind)
+        fam = tower.LimitFamily(kind)
         asgs = set(cc.definable_assignments(tower.truncate(kind, n)))
         for d in fam.elements(10):
             assert tower.restrict(d, n) in asgs
@@ -197,7 +193,7 @@ class TestRestrict:
     @pytest.mark.parametrize("kind", [FC, RC, EP])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_assignment_extends(self, kind, n):
-        fam = tower.limit_definables(kind)
+        fam = tower.LimitFamily(kind)
         asgs = set(cc.definable_assignments(tower.truncate(kind, n)))
         assert {tower.restrict(d, n) for d in fam.elements(n + 2)} == asgs
 
@@ -330,8 +326,12 @@ class TestBuildW:
         h1, h2 = tower.default_turn_functions(2)
         w = tower.build_W(base, h1, h2)
         n = base.n
-        base_defs = fs.enumerate_definable(base, F(1, 4))
-        w_defs = fs.enumerate_definable(w.space, F(1, 4))
+        base_defs = fs.enumerate_definable(
+            base, F(1, 4), fs.all_closed_sets(base, 1 << 20)
+        )
+        w_defs = fs.enumerate_definable(
+            w.space, F(1, 4), fs.all_closed_sets(w.space, 1 << 20)
+        )
         products = {
             d0 | (d1 << n) | (d2 << 2 * n)
             for d0 in base_defs
