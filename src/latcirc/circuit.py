@@ -443,7 +443,7 @@ def build_Y0(m: MeetSemilattice, enumeration, k: int) -> Circuit:
     enumeration = tuple(enumeration)
     if sorted(enumeration) != list(range(m.n)):
         raise ValueError("enumeration must list every element index exactly once")
-    if m.bottom is None or enumeration[0] != m.bottom:
+    if enumeration[0] != m.bottom:
         raise ValueError("enumeration must start at the bottom element")
     if not 1 <= k <= m.n:
         raise ValueError(f"truncation level k={k} out of range")

@@ -219,10 +219,7 @@ def cmd_filters(args) -> int:
         "filters": [sorted(m.elements[i] for i in f) for f in fs],
     }
     if args.as_lattice:
-        lat = order_core.inclusion_lattice(
-            [order_core.filter_label(m, f) for f in fs],
-            [sum(1 << i for i in f) for f in fs],
-        )
+        lat = order_core.filter_lattice(m, fs)
         report["results"]["lattice"] = {
             "elements": list(lat.elements),
             "bottom": lat.elements[lat.bottom],

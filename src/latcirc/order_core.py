@@ -56,9 +56,6 @@ class Poset:
     def n(self) -> int:
         return len(self.elements)
 
-    def index(self, label: str) -> int:
-        return self.elements.index(label)
-
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
 
@@ -89,22 +86,20 @@ class Poset:
 def poset_from_pairs(elements, pairs) -> Poset:
     """Build a poset as the reflexive-transitive closure of the given label pairs.
 
-    ``pairs`` may be cover pairs or arbitrary leq pairs; ``Poset`` validates
+    ``pairs`` may be cover pairs or arbitrary leq pairs; each is the Horn rule
+    a => b, and the up-set of i is the closure of {i}.  ``Poset`` validates
     the result.
     """
     elements = tuple(elements)
     idx = {lbl: i for i, lbl in enumerate(elements)}
-    up = [1 << i for i in range(len(elements))]
+    rules = []
     for a, b in pairs:
         for lbl in (a, b):
             if lbl not in idx:
                 raise OrderError(f"unknown element {lbl!r} in pair")
-        up[idx[a]] |= 1 << idx[b]
-    for k in range(len(up)):  # Warshall, one bitmask row at a time
-        for i in range(len(up)):
-            if up[i] >> k & 1:
-                up[i] |= up[k]
-    return Poset(elements, tuple(up))
+        rules.append((idx[a], idx[a], 1 << idx[b]))
+    close = horn_closure(len(elements), rules)
+    return Poset(elements, tuple(close(1 << i) for i in range(len(elements))))
 
 
 def parse_poset(text) -> Poset:
@@ -116,6 +111,9 @@ def parse_poset(text) -> Poset:
     data = json.loads(text) if isinstance(text, (str, bytes)) else text
     if not isinstance(data, dict) or "elements" not in data:
         raise OrderError("input must be a JSON object with an 'elements' list")
+    unknown = ", ".join(map(repr, sorted(set(data) - {"elements", "covers", "leq"})))
+    if unknown:
+        raise OrderError(f"unknown key(s) {unknown}; expected 'covers' or 'leq'")
     elements = data["elements"]
     if not isinstance(elements, list) or not all(
         isinstance(e, str) for e in elements
@@ -344,13 +342,12 @@ def filter_label(m: MeetSemilattice, members: frozenset[int]) -> str:
     return "{" + inner + "}"
 
 
-def filter_lattice(m: MeetSemilattice, include_empty: bool = False) -> FiniteLattice:
-    """The lattice of filters ordered by inclusion.
+def filter_lattice(m: MeetSemilattice, fs) -> FiniteLattice:
+    """The filters ``fs`` of ``m`` (as from ``filters``) ordered by inclusion.
 
     Meets are intersections and joins are generated filters; both fall out of
     ``as_lattice`` on the inclusion order.
     """
-    fs = filters(m, include_empty)
     return inclusion_lattice(
         [filter_label(m, f) for f in fs], [sum(1 << i for i in f) for f in fs]
     )
@@ -478,34 +475,38 @@ def v_semilattice() -> MeetSemilattice:
 
 
 def all_lattices_up_to_iso(n: int) -> list[FiniteLattice]:
-    """Every n-element lattice, one per isomorphism class.
+    """Every n-element lattice, one per isomorphism class, by one-atom extension.
 
-    Every finite lattice has a linear extension with the bottom first and the
-    top last, so e0 is fixed as the bottom, e{n-1} as the top, and only the
-    strict orders among the middle elements that follow index order are
-    tried: 2^((n-2)(n-3)/2) masks.  ``Poset`` rejects the non-transitive ones
-    and ``as_lattice`` those lacking a meet or join.  A lattice is kept unless
-    ``iso`` matches it to an earlier one with the same sorted profiles.
+    Removing an atom a from a lattice of at least 3 elements leaves a lattice:
+    only the bottom lies below a, so no join of two other elements is a, and a
+    finite join-semilattice with a bottom is a lattice.  So each class of
+    k + 1 >= 3 elements is a class of k elements plus an atom ``e{k}`` above
+    the bottom whose strict up-set is a nonempty up-set without the bottom.
+    ``as_lattice`` rejects the extensions that are not lattices, and one is
+    kept unless ``iso`` matches it to an earlier one with the same sorted
+    profiles.  Sizes 1 and 2 are the chains ``e0`` and ``e0 < e1``.
     """
     if n < 1:
         return []
     labels = tuple(f"e{i}" for i in range(n))
-    full, top = (1 << n) - 1, 1 << (n - 1)
-    upper = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)]
-    buckets: dict[tuple, list[FiniteLattice]] = {}
-    out = []
-    for mask in range(1 << len(upper)):
-        up = [1 << i | top for i in range(n)]
-        up[0] = full
-        for k, (i, j) in enumerate(upper):
-            if mask >> k & 1:
-                up[i] |= 1 << j
-        try:
-            lat = as_lattice(Poset(labels, tuple(up)))
-        except OrderError:
-            continue
-        bucket = buckets.setdefault(tuple(sorted(_profiles(lat))), [])
-        if all(iso(lat, other) is None for other in bucket):
-            bucket.append(lat)
-            out.append(lat)
-    return out
+    level = [as_lattice(poset_from_pairs(labels[:2], zip(labels[:1], labels[1:2])))]
+    for k in range(2, n):
+        buckets: dict[tuple, list[FiniteLattice]] = {}
+        grown = []
+        for lat in level:
+            up = lat.poset.up
+            for u in closed_sets(k, horn_closure(k, [(a, a, up[a]) for a in range(k)])):
+                if not u or u >> lat.bottom & 1:
+                    continue
+                ext = list(up) + [1 << k | u]
+                ext[lat.bottom] |= 1 << k
+                try:
+                    cand = as_lattice(Poset(labels[: k + 1], tuple(ext)))
+                except LatticeError:
+                    continue
+                bucket = buckets.setdefault(tuple(sorted(_profiles(cand))), [])
+                if all(iso(cand, other) is None for other in bucket):
+                    bucket.append(cand)
+                    grown.append(cand)
+        level = grown
+    return level

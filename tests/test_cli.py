@@ -292,6 +292,14 @@ class TestFilters:
         assert "not both" in rep["error"]
         assert err.count("\n") == 1
 
+    def test_unknown_key_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps({"elements": ["a", "b"], "cover": [["a", "b"]]}))
+        code, rep, err = run_err(capsys, "filters", str(p))
+        assert code == 2 and rep["verdict"] == "error"
+        assert "unknown key(s) 'cover'" in rep["error"]
+        assert err.count("\n") == 1
+
 
 class TestY0:
     def test_v_k3(self, capsys, v_file):

@@ -58,9 +58,9 @@ class TestParsePoset:
                 }
             )
         )
-        a, b = p.index("a"), p.index("b")
+        a, b = p.elements.index("a"), p.elements.index("b")
         assert not p.leq(a, b) and not p.leq(b, a)
-        assert p.leq(p.index("0"), p.index("1"))
+        assert p.leq(p.elements.index("0"), p.elements.index("1"))
 
     def test_cycle_rejected(self):
         with pytest.raises(oc.OrderError, match="cycle"):
@@ -82,6 +82,11 @@ class TestParsePoset:
         with pytest.raises(oc.OrderError, match="not both"):
             oc.parse_poset({"elements": ["a", "b"], "covers": [], "leq": [["a", "b"]]})
 
+    def test_unknown_key_rejected(self):
+        # a misspelled "covers" must not read as an antichain
+        with pytest.raises(oc.OrderError, match="unknown key.*'cover'"):
+            oc.parse_poset({"elements": ["a", "b"], "cover": [["a", "b"]]})
+
     @pytest.mark.parametrize(
         "elements,up,match",
         [(("x", "y"), (0b11, 0b11), "cycle"), (("x", "x"), (0b01, 0b10), "duplicate")],
@@ -101,7 +106,7 @@ class TestAsLattice:
                 lower = [k for k in range(5) if down[i] >> k & 1 and down[j] >> k & 1]
                 glbs = [k for k in lower if all(p.leq(x, k) for x in lower)]
                 assert glbs == [lat.meet[i][j]]
-        a, b = p.index("a"), p.index("b")
+        a, b = p.elements.index("a"), p.elements.index("b")
         assert lat.elements[lat.meet[a][b]] == "0"
         assert lat.elements[lat.join[a][b]] == "1"
 
@@ -191,16 +196,17 @@ class TestFilterLattice:
         if not include_empty and len(maximal) > 1:
             # the principal filters of two maximal elements meet only in {}
             with pytest.raises(oc.LatticeError, match="no meet"):
-                oc.filter_lattice(m)
+                oc.filter_lattice(m, fs)
             return
-        fl = oc.filter_lattice(m, include_empty)
+        fl = oc.filter_lattice(m, fs)
         assert fl.elements == tuple(oc.filter_label(m, f) for f in fs)
         for i, f in enumerate(fs):
             for j, g in enumerate(fs):
                 assert fl.leq(i, j) == (f <= g)
 
     def test_v_diamond(self):
-        fl = oc.filter_lattice(oc.v_semilattice(), include_empty=True)
+        m = oc.v_semilattice()
+        fl = oc.filter_lattice(m, oc.filters(m, include_empty=True))
         assert fl.n == 4
         mids = [i for i in range(4) if i not in (fl.bottom, fl.top)]
         assert len(mids) == 2
@@ -209,12 +215,13 @@ class TestFilterLattice:
         assert fl.elements[fl.bottom] == "{}"
 
     def test_two_chain(self):
-        fl = oc.filter_lattice(oc.chain(2))
+        m = oc.chain(2)
+        fl = oc.filter_lattice(m, oc.filters(m))
         assert fl.n == 2 and fl.leq(fl.bottom, fl.top)
 
     def test_n5_filter_lattice_iso_to_n5(self):
         lat = oc.n5()
-        fl = oc.filter_lattice(lat)
+        fl = oc.filter_lattice(lat, oc.filters(lat))
         mapping = oc.iso(fl, lat)
         assert mapping is not None
         assert brute_iso(fl, lat) is not None
@@ -276,8 +283,11 @@ class TestSmallCorpus:
 
     @pytest.mark.parametrize(
         "n,count",
-        [(1, 1), (2, 1), (3, 1), (4, 2), (5, 5), (6, 15), (7, 53)]
-        + [pytest.param(8, 222, marks=pytest.mark.slow)],
+        [(1, 1), (2, 1), (3, 1), (4, 2), (5, 5), (6, 15), (7, 53), (8, 222)]
+        + [
+            pytest.param(9, 1078, marks=pytest.mark.slow),
+            pytest.param(10, 5994, marks=pytest.mark.slow),
+        ],
     )
     def test_counts_follow_a006966(self, n, count):
         assert len(oc.all_lattices_up_to_iso(n)) == count
@@ -286,12 +296,34 @@ class TestSmallCorpus:
     def test_no_lattice_without_elements(self, n):
         assert oc.all_lattices_up_to_iso(n) == []
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize(
+        "n", [*range(2, 8), pytest.param(8, marks=pytest.mark.slow)]
+    )
     def test_pairwise_non_isomorphic(self, n):
         corpus = oc.all_lattices_up_to_iso(n)
         for i, a in enumerate(corpus):
             for b in corpus[i + 1:]:
                 assert oc.iso(a, b) is None
+
+    def test_removing_an_atom_leaves_a_smaller_class(self):
+        # the lemma behind the generator, checked from the 8-element side
+        smaller = oc.all_lattices_up_to_iso(7)
+        reached = set()
+        for lat in oc.all_lattices_up_to_iso(8):
+            atoms = [j for i, j in lat.poset.covers() if i == lat.bottom]
+            for atom in atoms:
+                keep = [i for i in range(lat.n) if i != atom]
+                up = tuple(
+                    sum(1 << k for k, j in enumerate(keep) if lat.leq(i, j))
+                    for i in keep
+                )
+                sub = oc.as_lattice(oc.Poset(tuple(lat.elements[i] for i in keep), up))
+                [match] = [
+                    k for k, other in enumerate(smaller)
+                    if oc.iso(sub, other) is not None
+                ]
+                reached.add(match)
+        assert reached == set(range(len(smaller)))
 
 
 @st.composite
