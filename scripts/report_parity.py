@@ -10,8 +10,10 @@ label, an unknown label and a pair without a meet.  On every input both trees
 run
 
 - `verify-lattice --presentation full` and `--presentation minimal`,
-- `filters --as-lattice`, with and without `--include-empty`,
-- `y0 --k 2`,
+- `filters` with no flag, with `--include-empty`, with `--as-lattice`, and
+  with both,
+- `y0 --k 1`, `y0 --k 2`, and `y0 --k 6`, which exceeds every input's
+  element count and so exits 2,
 
 and on every lattice of at least two elements `verify-lattice --oracle N` with
 both presentations at each pitch N, under the `--max-candidates 4000000` the
@@ -63,9 +65,13 @@ MALFORMED = {
 COMMANDS = [
     ["verify-lattice", "--presentation", "full"],
     ["verify-lattice", "--presentation", "minimal"],
+    ["filters"],
+    ["filters", "--include-empty"],
     ["filters", "--as-lattice"],
     ["filters", "--as-lattice", "--include-empty"],
+    ["y0", "--k", "1"],
     ["y0", "--k", "2"],
+    ["y0", "--k", "6"],  # above the five elements of the largest input
 ]
 
 

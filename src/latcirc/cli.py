@@ -1,9 +1,14 @@
 """Command-line surface: run constructions and verifications, emit JSON reports.
 
-Reports go to stdout as JSON with sorted keys; diagnostics go to stderr.
-Exit codes: 0 verification passed, 1 verification failed, 2 input or usage
-error.  Reports are byte-identical for identical inputs and flags except for
-the timing_ms field.
+Each ``cmd_*`` handler returns ``(input_digest, results, ok)`` and ``main``
+wraps it in the report, printed to stdout as JSON with sorted keys:
+``command``, ``input_digest``, ``flags`` (the command's parsed options,
+without the input file and without ``--max-candidates``), ``results``,
+``verdict`` (``pass`` or ``fail``, from ``ok``) and ``timing_ms``.  The exit
+code follows the verdict: 0 pass, 1 fail.  An input or usage error, or an
+exceeded ``--max-candidates``, prints one line to stderr and the report
+``{command, error, verdict: "error"}``, and exits 2.  Reports are
+byte-identical for identical inputs and flags except for ``timing_ms``.
 """
 
 from __future__ import annotations
@@ -51,40 +56,22 @@ def _parse_fraction(text: str) -> Fraction:
         raise InputError(f"bad fraction {text!r}") from exc
 
 
-def _emit(report: dict, started: float) -> None:
-    report["timing_ms"] = int((time.time() - started) * 1000)
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
-def _report(command: str, digest: str, flags: dict) -> dict:
-    return {
-        "command": command,
-        "input_digest": digest,
-        "flags": flags,
-        "results": {},
-        "verdict": "error",
-    }
-
-
-def cmd_verify_lattice(args) -> int:
-    started = time.time()
-    flags = {"presentation": args.presentation, "oracle": args.oracle}
+def cmd_verify_lattice(args):
     lat, digest = _read_order(args.file, order_core.as_lattice)
-    report = _report("verify-lattice", digest, flags)
     if args.presentation == "full":
         circ = circuit_mod.build_full(lat)
     else:
         circ = circuit_mod.build_minimal(lat)
     iso_res = circuit_mod.verify_iso(lat, circ)
     assignments = iso_res.assignments
-    report["results"] = {
+    results = {
         "elements": len(lat.elements),
         "gates": len(circ.gates),
         "definables": len(assignments),
         "iso": "pass" if iso_res.ok else "fail",
     }
     if not iso_res.ok:
-        report["results"]["witness"] = iso_res.witness
+        results["witness"] = iso_res.witness
     ok = iso_res.ok
     if args.oracle:
         try:
@@ -100,32 +87,20 @@ def cmd_verify_lattice(args) -> int:
             and set(res.patterns) == symbolic
             and res.definables == len(symbolic)
         )
-        report["results"]["oracle"] = {
+        results["oracle"] = {
             "n": args.oracle,
             "definables": res.definables,
             "agrees": agree,
         }
         ok = ok and agree
-    report["verdict"] = "pass" if ok else "fail"
-    _emit(report, started)
-    return 0 if ok else 1
+    return digest, results, ok
 
 
-def cmd_gate_oracle(args) -> int:
-    started = time.time()
+def cmd_gate_oracle(args):
     if args.n < 2:
         raise InputError(f"subdivision n must be >= 2, got {args.n}")
     if args.probes < 0:
         raise InputError(f"--probes must be >= 0, got {args.probes}")
-    flags = {
-        "variant": args.variant,
-        "n": args.n,
-        "r_min": args.r_min,
-        "seed": args.seed,
-        "probes": args.probes,
-    }
-    digest = _digest(f"{args.variant}:{args.n}".encode())
-    report = _report("gate-oracle", digest, flags)
     dc = gate.discretize(args.n) if args.variant == "plain" else gate.discretize_dagger(args.n)
     r_min = _parse_fraction(args.r_min) if args.r_min else dc.r_min
     try:
@@ -137,7 +112,7 @@ def cmd_gate_oracle(args) -> int:
         ) from exc
     expected = gate.expected_patterns(args.variant)
     ok = res.pattern_set == expected and len(res.definable) == len(expected)
-    report["results"] = {
+    results = {
         "n": args.n,
         "r_min": str(r_min),
         "candidates": gate.saturated_count(dc),
@@ -151,27 +126,18 @@ def cmd_gate_oracle(args) -> int:
         for d in finspace.random_closed_sets(dc.space, args.probes, args.seed):
             if finspace.is_definable(dc.space, d, r_min) and d not in known:
                 bad.append(sorted(finspace.members(d)))
-        report["results"]["probes"] = {
+        results["probes"] = {
             "count": args.probes,
             "unexpected_definable": bad,
         }
         ok = ok and not bad
-    report["verdict"] = "pass" if ok else "fail"
-    _emit(report, started)
-    return 0 if ok else 1
+    return _digest(f"{args.variant}:{args.n}".encode()), results, ok
 
 
-def cmd_tower(args) -> int:
-    started = time.time()
+def cmd_tower(args):
     if args.n < 1:
         raise InputError(f"tower height must be >= 1, got {args.n}")
-    kind = {
-        "forward": tower.TowerKind.FORWARD_CHAIN,
-        "reverse": tower.TowerKind.REVERSE_CHAIN,
-        "exact-pair": tower.TowerKind.EXACT_PAIR,
-    }[args.kind]
-    flags = {"kind": args.kind, "n": args.n, "limit": args.limit}
-    report = _report("tower", _digest(f"{args.kind}:{args.n}".encode()), flags)
+    kind = tower.TowerKind(args.kind)
     circ = tower.truncate(kind, args.n)
     assignments = circuit_mod.definable_assignments(circ)
     expected = args.n + 4 if kind is tower.TowerKind.EXACT_PAIR else args.n + 2
@@ -182,7 +148,7 @@ def cmd_tower(args) -> int:
         for d in fam.elements(args.n + 2)
     )
     ok = len(assignments) == expected and coherent
-    report["results"] = {
+    results = {
         "nodes": len(circ.nodes),
         "gates": len(circ.gates),
         "definables": len(assignments),
@@ -202,25 +168,20 @@ def cmd_tower(args) -> int:
             limit["lower_bounds_sampled"] = len(lbs)
             limit["lower_bounds_have_maximum"] = has_max
             ok = ok and meet is None and not has_max
-        report["results"]["limit"] = limit
-    report["verdict"] = "pass" if ok else "fail"
-    _emit(report, started)
-    return 0 if ok else 1
+        results["limit"] = limit
+    return _digest(f"{args.kind}:{args.n}".encode()), results, ok
 
 
-def cmd_filters(args) -> int:
-    started = time.time()
-    flags = {"include_empty": args.include_empty, "as_lattice": args.as_lattice}
+def cmd_filters(args):
     m, digest = _read_order(args.file, order_core.as_meet_semilattice)
-    report = _report("filters", digest, flags)
     fs = order_core.filters(m, include_empty=args.include_empty)
-    report["results"] = {
+    results = {
         "count": len(fs),
         "filters": [sorted(m.elements[i] for i in f) for f in fs],
     }
     if args.as_lattice:
         lat = order_core.filter_lattice(m, fs)
-        report["results"]["lattice"] = {
+        results["lattice"] = {
             "elements": list(lat.elements),
             "bottom": lat.elements[lat.bottom],
             "top": lat.elements[lat.top],
@@ -228,16 +189,11 @@ def cmd_filters(args) -> int:
                 [lat.elements[i], lat.elements[j]] for i, j in lat.poset.covers()
             ],
         }
-    report["verdict"] = "pass"
-    _emit(report, started)
-    return 0
+    return digest, results, True
 
 
-def cmd_y0(args) -> int:
-    started = time.time()
-    flags = {"k": args.k}
+def cmd_y0(args):
     m, digest = _read_order(args.file, order_core.as_meet_semilattice)
-    report = _report("y0", digest, flags)
     if args.k > m.n:
         raise InputError(f"k={args.k} exceeds the {m.n} enumerated elements")
     enumeration = tuple(range(m.n))
@@ -249,7 +205,7 @@ def cmd_y0(args) -> int:
     offs = circuit_mod.y0_assignment_offsets(circ)
     truncated = circuit_mod.truncated_filters(m, enumeration, args.k)
     match = offs == truncated
-    report["results"] = {
+    results = {
         "k": args.k,
         "rails": len(circ.nodes),
         "gates": len(circ.gates),
@@ -257,9 +213,7 @@ def cmd_y0(args) -> int:
         "truncated_filters": len(truncated),
         "match": match,
     }
-    report["verdict"] = "pass" if match else "fail"
-    _emit(report, started)
-    return 0 if match else 1
+    return digest, results, match
 
 
 def _dot_id(label: str) -> str:
@@ -267,11 +221,8 @@ def _dot_id(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def cmd_export_dot(args) -> int:
-    started = time.time()
-    flags = {"what": args.what, "out": args.out}
+def cmd_export_dot(args):
     lat, digest = _read_order(args.file, order_core.as_lattice)
-    report = _report("export-dot", digest, flags)
     if args.what == "hasse":
         covers = lat.poset.covers()
         ids = [_dot_id(e) for e in lat.elements]
@@ -302,10 +253,7 @@ def cmd_export_dot(args) -> int:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc}") from exc
-    report["results"] = {"written": args.out, "nodes": nodes, "edges": edges}
-    report["verdict"] = "pass"
-    _emit(report, started)
-    return 0
+    return digest, {"written": args.out, "nodes": nodes, "edges": edges}, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,20 +311,32 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    started = time.time()
     # looked up per call, so a rebound cmd_* is the one that runs
     handler = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:
-        return handler(args)
+        if args.max_candidates < 0:
+            raise InputError(
+                f"--max-candidates must be >= 0, got {args.max_candidates}"
+            )
+        digest, results, ok = handler(args)
     except (InputError, ValueError, finspace.BudgetExceeded) as exc:
         print(str(exc), file=sys.stderr)
-        print(
-            json.dumps(
-                {"command": args.cmd, "error": str(exc), "verdict": "error"},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 2
+        report = {"command": args.cmd, "error": str(exc), "verdict": "error"}
+        code = 2
+    else:
+        unechoed = ("cmd", "file", "max_candidates")
+        report = {
+            "command": args.cmd,
+            "input_digest": digest,
+            "flags": {k: v for k, v in vars(args).items() if k not in unechoed},
+            "results": results,
+            "verdict": "pass" if ok else "fail",
+            "timing_ms": int((time.time() - started) * 1000),
+        }
+        code = 0 if ok else 1
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":
