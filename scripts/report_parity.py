@@ -23,11 +23,15 @@ trees also run
 
 - `gate-oracle --variant plain|dagger --n 2|3|4|8`, each with no extra flag,
   with `--r-min 1`, with `--r-min 1/4` and with `--probes 30 --seed 5`,
+- `gate-oracle --n 8 --r-min=-1/4`, a negative floor that `is_definable`
+  refuses,
 - `verify-lattice --oracle 2|3` on the two-element chain with both
   presentations,
 
 each with and without `--max-candidates 10`.  They also run
 
+- `gate-oracle --variant plain|dagger --n 16|32`, the pitches the
+  benchmark's `oracle` workload runs,
 - `tower --kind forward|reverse|exact-pair --n 1|3|6`, each with and without
   `--limit`,
 - `export-dot hasse|circuit` on every lattice of at least two elements; both
@@ -124,12 +128,16 @@ def main() -> int:
             for n in (1, 3, 6):
                 for extra in ([], ["--limit"]):
                     runs.append(["tower", "--kind", kind, "--n", str(n), *extra])
+        for variant in ("plain", "dagger"):
+            for n in (16, 32):
+                runs.append(["gate-oracle", "--variant", variant, "--n", str(n)])
         floor_runs = []
         for variant in ("plain", "dagger"):
             for n in (2, 3, 4, 8):
                 for extra in ([], ["--r-min", "1"], ["--r-min", "1/4"],
                               ["--probes", "30", "--seed", "5"]):
                     floor_runs.append(["gate-oracle", "--variant", variant, "--n", str(n), *extra])
+        floor_runs.append(["gate-oracle", "--n", "8", "--r-min=-1/4"])
         chain2 = str(Path(tmp) / "l2_chain.json")
         for pres in ("full", "minimal"):
             for n in (2, 3):

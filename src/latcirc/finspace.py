@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 
@@ -256,6 +257,8 @@ def _failure(s: DiscreteSpace, d: int, r_min: Fraction):
     """None when d is definable; otherwise (None, missing cells) when d is not
     closed, or (threshold, cell) for the first failing containment: the
     smallest threshold and the lowest cell of d outside int(expand(d, r))."""
+    if r_min < 0:
+        raise ValueError("r_min must be nonnegative")
     if d == 0 or d == s.full_mask:
         return None
     view = _view(s)
@@ -301,8 +304,6 @@ def is_definable(s: DiscreteSpace, d: int, r_min: Fraction) -> bool:
     Thresholds run over the space's distance values in (r_min, 1]; the empty
     set and the whole space pass outright.
     """
-    if r_min < 0:
-        raise ValueError("r_min must be nonnegative")
     return _failure(s, d, r_min) is None
 
 
@@ -471,12 +472,14 @@ def enumerate_definable(
     candidates,
     budget: int = 1 << 20,
 ) -> list[int]:
-    """Members of the candidate family passing is_definable, ascending by mask."""
-    pool = list(candidates)
+    """Members of the candidate family passing is_definable, ascending by mask.
+
+    Draws at most budget + 1 candidates, so an over-long or unbounded
+    iterable raises BudgetExceeded without being read to its end.
+    """
+    pool = list(islice(candidates, budget + 1))
     if len(pool) > budget:
-        raise BudgetExceeded(
-            f"{len(pool)} candidates exceed the budget of {budget}"
-        )
+        raise BudgetExceeded(f"candidates exceed the budget of {budget}")
     out = [d for d in pool if is_definable(s, d, r_min)]
     out.sort()
     return out

@@ -307,24 +307,36 @@ def state_to_cells(dc: DiscretizedComplex, state: GateState) -> int:
     return d
 
 
-def _endpoint_vmasks(dc: DiscretizedComplex) -> list[int]:
-    """Per edge, its endpoints as a bitmask over vertex-list positions."""
-    pos = {v: i for i, v in enumerate(dc.vertices)}
-    out = []
-    for e in dc.edges:
-        m = 0
-        for v in e.endpoints:
-            m |= 1 << pos[v]
-        out.append(m)
-    return out
-
-
 def _doubled(seed: int, parts) -> list[int]:
     """All 2^k OR-combinations of parts, indexed by choice bitmask."""
     acc = [seed]
     for p in parts:
         acc += [a | p for a in acc]
     return acc
+
+
+def _edge_table(dc: DiscretizedComplex, cap: int | None, *columns):
+    """The saturated family edge subset by edge subset.
+
+    Returns (size, pinned, *unions): the family's size, and lists indexed by
+    choice bitmask over dc.edges.  pinned[i] holds the endpoints of subset i
+    as a bitmask over vertex-list positions, and each union list holds, per
+    subset, the OR of one column of per-edge masks.  The subset contributes
+    2^(free vertices) candidates.  Raises BudgetExceeded, before any column
+    is combined, when the family exceeds cap.
+    """
+    pos = {v: i for i, v in enumerate(dc.vertices)}
+    pinned = [0]
+    for e in dc.edges:
+        ends = 1 << pos[e.endpoints[0]] | 1 << pos[e.endpoints[1]]
+        pinned += [a | ends for a in pinned]
+        if cap is not None and len(pinned) > cap:
+            break  # each subset contributes at least one candidate
+    nv = len(dc.vertices)
+    size = sum(1 << nv - m.bit_count() for m in pinned)
+    if cap is not None and size > cap:
+        raise BudgetExceeded(f"saturated family exceeds the budget of {cap}")
+    return size, pinned, *(_doubled(0, col) for col in columns)
 
 
 def saturated_count(dc: DiscretizedComplex, cap: int | None = None) -> int:
@@ -334,18 +346,10 @@ def saturated_count(dc: DiscretizedComplex, cap: int | None = None) -> int:
     known to exceed it; this keeps many-gate complexes from exploding the
     count computation itself.
     """
-    nv = len(dc.vertices)
-    acc = [0]
-    for p in _endpoint_vmasks(dc):
-        acc += [a | p for a in acc]
-        if cap is not None and len(acc) > cap:
-            return cap + 1  # each subset contributes at least one candidate
-    total = 0
-    for pinned in acc:
-        total += 1 << (nv - pinned.bit_count())
-        if cap is not None and total > cap:
-            return cap + 1
-    return total
+    try:
+        return _edge_table(dc, cap)[0]
+    except BudgetExceeded:
+        return cap + 1
 
 
 def saturated_candidates(dc: DiscretizedComplex, budget: int = 1 << 20):
@@ -355,13 +359,7 @@ def saturated_candidates(dc: DiscretizedComplex, budget: int = 1 << 20):
     closed by construction.  Raises BudgetExceeded before yielding anything
     if the family is larger than the budget.
     """
-    count = saturated_count(dc, cap=budget)
-    if count > budget:
-        raise BudgetExceeded(
-            f"saturated family exceeds the budget of {budget}"
-        )
-    bases = _doubled(0, [e.closure_mask for e in dc.edges])
-    pinneds = _doubled(0, _endpoint_vmasks(dc))
+    _, pinneds, bases = _edge_table(dc, budget, [e.closure_mask for e in dc.edges])
     for base, pinned in zip(bases, pinneds):
         free = [v for i, v in enumerate(dc.vertices) if not pinned >> i & 1]
         yield from _doubled(base, [1 << v for v in free])
@@ -390,17 +388,21 @@ def oracle(
     r_min: Fraction | None = None,
     budget: int = 1 << 20,
 ) -> OracleResult:
-    """Exhaustive saturated-family search for definable sets.
+    """Saturated-family search for definable sets, pruned edge subset by
+    edge subset.
 
     Raises NoThreshold, before the budget is charged, when the floor leaves
     no threshold, since then every closed set would pass.
 
-    A necessary condition at the single binding threshold prunes candidates
-    cheaply, and it factorizes: extra vertices are 0-cells, whose witness
-    distances live entirely on same-x 1-cell pairs fixed by the edge choice.
-    So each edge subset is vetted once, individually addable free vertices
-    are computed once, and only the survivors get the full is_definable
-    confirmation.
+    finspace's test U(d) & ~(d | N(d)) == 0 at the binding threshold r0 is
+    necessary, and U (the union of minimal opens) and N (the cells within r0)
+    of a union are the unions of its parts'.  So per-edge U and N masks are
+    combined next to the closures, an edge subset survives when
+    U & ~(base | N) == 0, and a free vertex v is addable to it when
+    min_open[v] & ~(base | N | 1 << v) == 0: extra vertices are 0-cells,
+    whose witness distances live on same-x 1-cell pairs fixed by the edge
+    choice.  Every union of a survivor with addable vertices is confirmed
+    with is_definable.
     """
     if r_min is None:
         r_min = dc.r_min
@@ -408,51 +410,28 @@ def oracle(
     binding = finspace.thresholds(s, r_min)
     if not binding:
         raise NoThreshold(r_min)
-    count = saturated_count(dc, cap=budget)
-    if count > budget:
-        raise BudgetExceeded(
-            f"saturated family exceeds the budget of {budget}"
-        )
-    near_mask = finspace.near_masks(s, binding[0])
-    need_edge = []
+    near = finspace.near_masks(s, binding[0])
+    closures, ups, nears = [], [], []
     for e in dc.edges:
-        m = 0
+        u = nb = 0
         for c in bits(e.closure_mask):
-            m |= s.min_open[c]
-        need_edge.append(m)
-    flanks = {v: s.min_open[v] & ~(1 << v) for v in dc.vertices}
-    vlist = list(dc.vertices)
-    bases = _doubled(0, [e.closure_mask for e in dc.edges])
-    needs = _doubled(0, need_edge)
-    pinneds = _doubled(0, _endpoint_vmasks(dc))
+            u |= s.min_open[c]
+            nb |= near[c]
+        closures.append(e.closure_mask)
+        ups.append(u)
+        nears.append(nb)
+    _, pinneds, bases, us, ns = _edge_table(dc, budget, closures, ups, nears)
     definable = []
-    for idx in range(len(bases)):
-        base = bases[idx]
-        outside = needs[idx] & ~base
-        ok = True
-        while outside:
-            y = (outside & -outside).bit_length() - 1
-            if not near_mask[y] & base:
-                ok = False
-                break
-            outside &= outside - 1
-        if not ok:
+    for pinned, base, u, nb in zip(pinneds, bases, us, ns):
+        covered = base | nb
+        if u & ~covered:
             continue
-        pinned = pinneds[idx]
-        free = [vlist[i] for i in range(len(vlist)) if not pinned >> i & 1]
-        addable = []
-        for v in free:
-            fl = flanks[v] & ~base
-            good = True
-            while fl:
-                f = (fl & -fl).bit_length() - 1
-                if not near_mask[f] & base:
-                    good = False
-                    break
-                fl &= fl - 1
-            if good:
-                addable.append(v)
-        for d in _doubled(base, [1 << v for v in addable]):
+        addable = [
+            1 << v
+            for i, v in enumerate(dc.vertices)
+            if not pinned >> i & 1 and not s.min_open[v] & ~(covered | 1 << v)
+        ]
+        for d in _doubled(base, addable):
             if finspace.is_definable(s, d, r_min):
                 definable.append(d)
     definable.sort()

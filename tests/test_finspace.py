@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -132,6 +133,13 @@ class TestIsDefinable:
         reason = fs.why_not_definable(dg.space, chopped, F(0))
         assert reason is not None and "not closed" in reason
         assert not fs.is_definable(dg.space, chopped, F(0))
+
+    def test_negative_floor_refused_by_both(self):
+        dg = gate.discretize(4)
+        os_closure = gate.edge_mask(dg, "OS")
+        for check in (fs.is_definable, fs.why_not_definable):
+            with pytest.raises(ValueError, match="r_min must be nonnegative"):
+                check(dg.space, os_closure, F(-1))
 
     def test_monotone_in_threshold(self):
         dg = gate.discretize(4)
@@ -362,12 +370,23 @@ class TestEnumerateDefinable:
         s = fs.point_space()
         assert fs.enumerate_definable(s, F(0), fs.all_closed_sets(s, 1 << 20)) == [0, 1]
 
-    def test_gate_saturated_seven(self):
-        dg = gate.discretize(8)
+    @pytest.mark.parametrize(
+        "build, count",
+        [
+            (lambda: gate.discretize(8), 7),
+            (lambda: gate.discretize_dagger(8), 3),
+            # the only fixture with an addable extra vertex, the free point z
+            (lambda: gate.build_complex([("a", "b", "c")], 3, ("a", "b", "c", "z")), 14),
+        ],
+        ids=["plain", "dagger", "free-point"],
+    )
+    def test_gate_saturated_seven(self, build, count):
+        dc = build()
         fam = fs.enumerate_definable(
-            dg.space, dg.r_min, candidates=gate.saturated_candidates(dg)
+            dc.space, dc.r_min, candidates=gate.saturated_candidates(dc)
         )
-        assert len(fam) == 7
+        assert len(fam) == count
+        assert list(gate.oracle(dc).definable) == fam
 
     def test_budget_error(self):
         s = crisp_points(8)
@@ -375,6 +394,10 @@ class TestEnumerateDefinable:
             fs.all_closed_sets(s, budget=16)
         with pytest.raises(fs.BudgetExceeded, match="budget"):
             fs.enumerate_definable(s, F(0), range(1 << s.n), budget=16)
+
+    def test_budget_stops_unbounded_iterable(self):
+        with pytest.raises(fs.BudgetExceeded, match="budget of 16"):
+            fs.enumerate_definable(fs.point_space(), F(0), itertools.count(), budget=16)
 
 
 class TestWireRule:
