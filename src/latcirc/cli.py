@@ -115,7 +115,7 @@ def cmd_gate_oracle(args):
     results = {
         "n": args.n,
         "r_min": str(r_min),
-        "candidates": gate.saturated_count(dc),
+        "candidates": res.candidates,
         "definables": len(res.definable),
         "patterns": sorted("".join(map(str, p)) for p in res.patterns),
         "expected": sorted("".join(map(str, p)) for p in expected),

@@ -7,11 +7,16 @@ bitmasks throughout; the exhaustive oracles depend on that staying cheap.
 Distance storage is sparse: only pairs at distance < 1 are recorded, every
 other distinct pair is at distance exactly 1.
 
-Each space is compiled once, on first use, into a private bitmask view held
-on the instance (it takes no part in equality or repr): the closure mask of
-every cell, the sorted distance values, and, built lazily per radius r, one
-mask per cell of the cells strictly within r.  Closure, expansion, thresholds
-and the closed-set generators read that view instead of rebuilding it.
+Each space is compiled once, on first use, into a private view held on the
+instance (it takes no part in equality or repr): the closure mask of every
+cell, the sorted distance values, and, each built lazily, the per-cell list
+of stored neighbours with their distances and, per radius r, one mask per
+cell of the cells strictly within r.  Closure, expansion, thresholds and the
+closed-set generators read that view instead of rebuilding it.  The metric
+checks (validate here; the directed-system, three-copy and cover-radius
+checks in tower) walk only the stored distances, validate and the cover
+radius through the neighbour lists, so they cost O(stored pairs) rather
+than O(cells²).
 
 Definability needs only the smallest threshold r0 above the floor.  The
 expansion of d grows with r and interior is monotone, so d inside
@@ -27,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 
 
 class BudgetExceeded(RuntimeError):
@@ -96,11 +101,15 @@ class DiscreteSpace:
         """cl({x}) per cell: everything whose minimal open contains x."""
         return _view(self).closure
 
+    def neighbours(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Per cell i, ((j, d), ...) for every stored distance d(i, j) = d."""
+        return _view(self).neighbours(self)
+
 
 class _View:
-    """The compiled bitmask tables of one space (see the module docstring)."""
+    """The compiled tables of one space (see the module docstring)."""
 
-    __slots__ = ("closure", "values", "_near", "_floors")
+    __slots__ = ("closure", "values", "_adj", "_near", "_floors")
 
     def __init__(self, s: DiscreteSpace):
         cl = [1 << i for i in range(s.n)]
@@ -112,8 +121,19 @@ class _View:
         if len(s.dist) < s.n * (s.n - 1) // 2:
             vals.add(Fraction(1))
         self.values = tuple(sorted(vals))
+        self._adj = None  # per-cell stored neighbours, built on first use
         self._near: dict = {}  # count of distance values below r -> masks
         self._floors: dict = {}  # r_min -> (r0 or None, packed kernel table)
+
+    def neighbours(self, s: DiscreteSpace) -> tuple:
+        """Per cell, its (other cell, distance) pairs in the order of s.dist."""
+        if self._adj is None:
+            adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(s.n)]
+            for (a, b), d in s.dist.items():
+                adj[a].append((b, d))
+                adj[b].append((a, d))
+            self._adj = tuple(map(tuple, adj))
+        return self._adj
 
     def near(self, s: DiscreteSpace, r: Fraction) -> tuple[int, ...]:
         """Per cell, the other cells strictly within r of it."""
@@ -154,16 +174,13 @@ def _view(s: DiscreteSpace) -> _View:
     return v
 
 
-def _near_table(s: DiscreteSpace) -> list[list[tuple[int, Fraction]]]:
-    table: list[list[tuple[int, Fraction]]] = [[] for _ in range(s.n)]
-    for (a, b), d in s.dist.items():
-        table[a].append((b, d))
-        table[b].append((a, d))
-    return table
-
-
 def validate(s: DiscreteSpace) -> list[str]:
-    """Invariant diagnostics; empty list means the space is well formed."""
+    """Invariant diagnostics; empty list means the space is well formed.
+
+    The triangle check runs over pairs of stored neighbours of each middle
+    cell, on exact integers: every stored distance as a numerator over the
+    lcm of the stored denominators, an unstored pair at that lcm.
+    """
     diags = []
     ids = [c.id for c in s.cells]
     if ids != list(range(s.n)):
@@ -182,13 +199,16 @@ def validate(s: DiscreteSpace) -> list[str]:
             diags.append(f"bad distance key ({a},{b})")
         if not (0 < d < 1):
             diags.append(f"stored distance d({a},{b})={d} outside (0,1)")
-    near = _near_table(s)
-    for y in range(s.n):
-        for x, dxy in near[y]:
-            for z, dyz in near[y]:
-                if x >= z:
-                    continue
-                if s.distance(x, z) > dxy + dyz:
+    one = lcm(*(d.denominator for d in s.dist.values()))
+    above: dict = {}  # x -> {z: scaled d(x, z)} for the stored keys (x, z)
+    for (a, b), d in s.dist.items():
+        above.setdefault(a, {})[b] = d.numerator * (one // d.denominator)
+    for y, row in enumerate(s.neighbours()):
+        scaled = [(x, d.numerator * (one // d.denominator), d) for x, d in row]
+        for x, nxy, dxy in scaled:
+            far = above.get(x, {})
+            for z, nyz, dyz in scaled:
+                if x < z and far.get(z, one) > nxy + nyz:
                     diags.append(
                         f"triangle inequality violated on ({x},{y},{z}): "
                         f"{s.distance(x, z)} > {dxy} + {dyz}"

@@ -369,6 +369,7 @@ def saturated_candidates(dc: DiscretizedComplex, budget: int = 1 << 20):
 class OracleResult:
     definable: tuple[int, ...]
     patterns: tuple[tuple[int, ...], ...]
+    candidates: int  # size of the saturated family searched
 
     @property
     def pattern_set(self) -> set:
@@ -420,7 +421,7 @@ def oracle(
         closures.append(e.closure_mask)
         ups.append(u)
         nears.append(nb)
-    _, pinneds, bases, us, ns = _edge_table(dc, budget, closures, ups, nears)
+    size, pinneds, bases, us, ns = _edge_table(dc, budget, closures, ups, nears)
     definable = []
     for pinned, base, u, nb in zip(pinneds, bases, us, ns):
         covered = base | nb
@@ -436,7 +437,7 @@ def oracle(
                 definable.append(d)
     definable.sort()
     patterns = tuple(dc.pattern(d) for d in definable)
-    return OracleResult(tuple(definable), patterns)
+    return OracleResult(tuple(definable), patterns, size)
 
 
 def expected_patterns(variant: str) -> set:

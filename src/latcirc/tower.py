@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 from . import circuit as circuit_mod
 from . import finspace
@@ -292,21 +293,26 @@ def check_directed_system(stages, embeddings) -> DirectedSystemReport:
     newer cells.  Eventual openness: each cell is interior to some stage's
     image inside the final stage; a finite system always has its last stage
     as a trivial witness, so the report records the first covering stage.
+    An embedding that sends a cell outside its target stage raises
+    ValueError.
     """
     if len(embeddings) != len(stages) - 1:
         raise ValueError("need exactly one embedding per adjacent stage pair")
     emb_viol = []
     for k, emb in enumerate(embeddings):
         a, b = stages[k], stages[k + 1]
+        for i, x in enumerate(emb):
+            if not 0 <= x < b.n:
+                raise ValueError(
+                    f"embedding {k} sends cell {i} to {x}, outside the "
+                    f"{b.n} cells of stage {k + 1}"
+                )
         if len(emb) != a.n:
             emb_viol.append(f"embedding {k} has wrong domain size")
             continue
-        for i in range(a.n):
-            for j in range(i + 1, a.n):
-                if a.distance(i, j) != b.distance(emb[i], emb[j]):
-                    emb_viol.append(
-                        f"embedding {k} distorts d({i},{j})"
-                    )
+        for i, j in _suspect_pairs(a, b, emb):
+            if a.distance(i, j) != b.distance(emb[i], emb[j]):
+                emb_viol.append(f"embedding {k} distorts d({i},{j})")
     # compose forward maps into the final stage
     last = stages[-1]
     images = []
@@ -342,6 +348,24 @@ def check_directed_system(stages, embeddings) -> DirectedSystemReport:
         tuple(emb_viol),
         tuple(open_stage),
     )
+
+
+def _suspect_pairs(a: DiscreteSpace, b: DiscreteSpace, emb) -> list:
+    """The pairs i < j of a, ascending, that may lie below distance 1 in a or
+    in b under emb: stored in a, sent onto a pair stored in b, or merged.
+    Every other pair is at distance 1 on both sides."""
+    pre: dict = {}
+    for i, x in enumerate(emb):
+        pre.setdefault(x, []).append(i)
+    pairs = {(i, j) for i, j in a.dist if 0 <= i < j < a.n}
+    for x, y in b.dist:
+        if x < y:
+            for i in pre.get(x, ()):
+                for j in pre.get(y, ()):
+                    pairs.add((i, j) if i < j else (j, i))
+    for same in pre.values():
+        pairs.update(combinations(same, 2))
+    return sorted(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +449,21 @@ def build_W(
         for i in range(3)
     ))
     dist = dict(w.dist)
-
-    def cross(i: int, j: int, v: Fraction) -> Fraction:
-        if (i, j) in ((0, 1), (1, 0)):
-            return f1(v)
-        if (i, j) in ((0, 2), (2, 0)):
-            return f2(v)
-        return min(f1(v) + f2(v), Fraction(1))
-
+    group: dict = {}  # slice value -> base cells on it, ascending
+    for a, v in enumerate(s.slices):
+        group.setdefault(v, []).append(a)
+    turns = {}  # slice value -> cross-copy floor per copy pair
+    for v in group:
+        h1, h2 = f1(v), f2(v)
+        turns[v] = {(0, 1): h1, (0, 2): h2, (1, 2): min(h1 + h2, Fraction(1))}
     for i in range(3):
         for j in range(i + 1, 3):
             for a in range(n):
-                for b in range(n):
-                    if s.slices[a] != s.slices[b]:
-                        continue
-                    f = cross(i, j, s.slices[a])
+                v = s.slices[a]
+                f = turns[v][i, j]
+                if f >= 1:
+                    continue
+                for b in group[v]:
                     d = max(s.distance(a, b), f)
                     if d < 1:
                         dist[(i * n + a, j * n + b)] = d
@@ -456,6 +480,7 @@ class CoverReport:
 def check_cover_radius(w: WSpace, r: Fraction) -> CoverReport:
     """Copy-0 cells on slices above 1/r must be strictly r-close to a side copy."""
     s = w.space
+    near = s.neighbours()
     bad = []
     for c in range(s.n):
         if w.copy_of[c] != 0:
@@ -464,11 +489,9 @@ def check_cover_radius(w: WSpace, r: Fraction) -> CoverReport:
         if v * r <= 1:
             continue
         best = Fraction(1)
-        for other in range(s.n):
-            if w.copy_of[other] in (1, 2):
-                d = s.distance(c, other)
-                if d < best:
-                    best = d
+        for other, d in near[c]:
+            if w.copy_of[other] in (1, 2) and d < best:
+                best = d
         if not best < r:
             bad.append((c, best))
     return CoverReport(not bad, tuple(bad))

@@ -382,7 +382,7 @@ class TestFactorizedOracle:
                 bad if p == (1, 1, 0) else d for d, p in zip(res.definable, res.patterns)
             )
             assert not fs.is_definable(dc.space, bad, dc.r_min)
-            return gate.OracleResult(definable, res.patterns)
+            return replace(res, definable=definable)
 
         monkeypatch.setattr(gate, "oracle", doctored)
         c = cc.build_minimal(oc.chain(4))

@@ -223,6 +223,98 @@ class TestKernelMatchesDefinition:
             assert fs.is_definable(s, d, r_min) == (want is None)
 
 
+def all_pairs_validate(s):
+    """validate as it was before the neighbour lists, kept as a reference."""
+    diags = []
+    ids = [c.id for c in s.cells]
+    if ids != list(range(s.n)):
+        diags.append("cell ids are not dense 0..n-1")
+    for i in range(s.n):
+        if not s.min_open[i] >> i & 1:
+            diags.append(f"min_open({i}) does not contain {i}")
+        for y in fs.bits(s.min_open[i]):
+            if s.min_open[y] & ~s.min_open[i]:
+                diags.append(
+                    f"Alexandrov base violated: {y} in min_open({i}) but "
+                    f"min_open({y}) is not contained in it"
+                )
+    for (a, b), d in s.dist.items():
+        if not (a < b < s.n):
+            diags.append(f"bad distance key ({a},{b})")
+        if not (0 < d < 1):
+            diags.append(f"stored distance d({a},{b})={d} outside (0,1)")
+    near = [[] for _ in range(s.n)]
+    for (a, b), d in s.dist.items():
+        near[a].append((b, d))
+        near[b].append((a, d))
+    for y in range(s.n):
+        for x, dxy in near[y]:
+            for z, dyz in near[y]:
+                if x >= z:
+                    continue
+                if s.distance(x, z) > dxy + dyz:
+                    diags.append(
+                        f"triangle inequality violated on ({x},{y},{z}): "
+                        f"{s.distance(x, z)} > {dxy} + {dyz}"
+                    )
+    if s.slices is not None:
+        if len(s.slices) != s.n:
+            diags.append("slice table size mismatch")
+        else:
+            for (a, b), d in s.dist.items():
+                if s.slices[a] != s.slices[b]:
+                    diags.append(
+                        f"crisp slicing violated: slice({a})={s.slices[a]} != "
+                        f"slice({b})={s.slices[b]} but d={d} < 1"
+                    )
+    return diags
+
+
+@st.composite
+def messy_spaces(draw):
+    """Spaces that break any invariant: stray minimal opens, reversed and
+    diagonal keys, distances outside (0, 1), triangle and slicing violations."""
+    n = draw(st.integers(1, 7))
+    ids = list(range(n))
+    if draw(st.integers(0, 5)) == 0:
+        ids[-1] += 1
+    min_open = tuple(draw(st.integers(0, (1 << n) - 1)) | (1 << i) * draw(st.booleans())
+                     for i in range(n))
+    values = [F(-1, 2), F(0), F(1, 5), F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(2, 3), F(1), F(3, 2)]
+    dist = {}
+    for _ in range(draw(st.integers(0, n * n))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if a > b and draw(st.integers(0, 4)):
+            a, b = b, a
+        dist[(a, b)] = draw(st.sampled_from(values))
+    slices = draw(st.one_of(
+        st.none(), st.lists(st.sampled_from([F(0), F(1)]), min_size=n, max_size=n + 1)
+    ))
+    cells = tuple(Cell(i, 0) for i in ids)
+    return DiscreteSpace(cells, min_open, dist, None if slices is None else tuple(slices))
+
+
+class TestValidateMatchesAllPairsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(messy_spaces())
+    def test_messy_spaces(self, s):
+        assert fs.validate(s) == all_pairs_validate(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_spaces())
+    def test_metric_spaces(self, s):
+        assert fs.validate(s) == all_pairs_validate(s) == []
+
+    def test_gate_and_triangle_fixture(self):
+        dg = gate.discretize_dagger(3)
+        assert fs.validate(dg.space) == all_pairs_validate(dg.space) == []
+        cells = tuple(Cell(i, 0) for i in range(4))
+        dist = {(0, 1): F(1, 3), (1, 2): F(1, 4), (2, 3): F(1, 5), (0, 3): F(9, 10)}
+        s = DiscreteSpace(cells, (1, 2, 4, 8), dist)
+        want = all_pairs_validate(s)
+        assert len(want) == 2 and fs.validate(s) == want
+
+
 class TestCompiledViewIsInvisible:
     def test_equality_repr_and_round_trip(self):
         s = gate.discretize_dagger(3).space

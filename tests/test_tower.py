@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -425,3 +426,223 @@ def test_build_w_preserves_metric_laws(base, i1, i2):
     ]
     w = tower.build_W(base, pool[i1], pool[i2])
     assert fs.validate(w.space) == []
+
+
+class TestDirectedSystemEmbeddingRange:
+    def test_out_of_range_id_raises_value_error(self):
+        two = DiscreteSpace((Cell(0, 0), Cell(1, 0)), (1, 2), {})
+        with pytest.raises(ValueError, match=r"embedding 0 sends cell 0 to 5"):
+            tower.check_directed_system([fs.point_space(), two], [(5,)])
+
+    def test_negative_id_raises_value_error(self):
+        two = DiscreteSpace((Cell(0, 0), Cell(1, 0)), (1, 2), {})
+        point = fs.point_space()
+        with pytest.raises(ValueError, match=r"embedding 1 sends cell 1 to -1"):
+            tower.check_directed_system([point, two, two], [(0,), (0, -1)])
+
+
+# The all-pairs loops the sparse metric checks replaced, kept verbatim as
+# references: every report must stay the same on every input.
+
+
+def all_pairs_directed_system(stages, embeddings):
+    emb_viol = []
+    for k, emb in enumerate(embeddings):
+        a, b = stages[k], stages[k + 1]
+        if len(emb) != a.n:
+            emb_viol.append(f"embedding {k} has wrong domain size")
+            continue
+        for i in range(a.n):
+            for j in range(i + 1, a.n):
+                if a.distance(i, j) != b.distance(emb[i], emb[j]):
+                    emb_viol.append(f"embedding {k} distorts d({i},{j})")
+    last = stages[-1]
+    images = []
+    for k in range(len(stages)):
+        ids = list(range(stages[k].n))
+        for emb in embeddings[k:]:
+            ids = [emb[i] for i in ids]
+        images.append(fs.cellset(ids))
+    crisp_viol = []
+    for k in range(len(stages) - 1):
+        img = images[k]
+        for (x, y), dval in last.dist.items():
+            if bool(img >> x & 1) != bool(img >> y & 1):
+                crisp_viol.append(
+                    f"stage {k} image not crisp: d({x},{y})={dval} crosses it"
+                )
+    interiors = [fs.interior(last, img) for img in images]
+    open_stage = []
+    ok_open = True
+    for cell in range(last.n):
+        first = -1
+        for k, inner in enumerate(interiors):
+            if inner >> cell & 1:
+                first = k
+                break
+        if first < 0:
+            ok_open = False
+        open_stage.append(first)
+    return tower.DirectedSystemReport(
+        not crisp_viol, ok_open, tuple(crisp_viol), tuple(emb_viol), tuple(open_stage)
+    )
+
+
+def all_pairs_build_W(s, f1, f2):
+    n = s.n
+    w = fs.coproduct(*(
+        replace(s, cells=tuple(
+            Cell(c.id, c.dim, f"c{i}:{c.tag or c.id}") for c in s.cells
+        ))
+        for i in range(3)
+    ))
+    dist = dict(w.dist)
+
+    def cross(i, j, v):
+        if (i, j) in ((0, 1), (1, 0)):
+            return f1(v)
+        if (i, j) in ((0, 2), (2, 0)):
+            return f2(v)
+        return min(f1(v) + f2(v), F(1))
+
+    for i in range(3):
+        for j in range(i + 1, 3):
+            for a in range(n):
+                for b in range(n):
+                    if s.slices[a] != s.slices[b]:
+                        continue
+                    f = cross(i, j, s.slices[a])
+                    d = max(s.distance(a, b), f)
+                    if d < 1:
+                        dist[(i * n + a, j * n + b)] = d
+    copy_of = tuple(i for i in range(3) for _ in range(n))
+    return tower.WSpace(replace(w, dist=dist), copy_of, tuple(range(n)) * 3)
+
+
+def all_pairs_cover_radius(w, r):
+    s = w.space
+    bad = []
+    for c in range(s.n):
+        if w.copy_of[c] != 0:
+            continue
+        v = s.slices[c]
+        if v * r <= 1:
+            continue
+        best = F(1)
+        for other in range(s.n):
+            if w.copy_of[other] in (1, 2):
+                d = s.distance(c, other)
+                if d < best:
+                    best = d
+        if not best < r:
+            bad.append((c, best))
+    return tower.CoverReport(not bad, tuple(bad))
+
+
+DISTANCES = [None, F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)]
+
+
+@st.composite
+def random_stage(draw, n):
+    """n cells with a random preorder base and any stored distances in (0, 1]."""
+    up = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and draw(st.integers(0, 3)) == 0:
+                up[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    dist = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = draw(st.sampled_from(DISTANCES))
+            if d is not None:
+                dist[(i, j)] = d
+    return DiscreteSpace(tuple(Cell(i, 0) for i in range(n)), tuple(up), dist)
+
+
+@st.composite
+def directed_systems(draw):
+    """Stages joined by random, shuffled or non-injective embeddings.
+
+    A transported stage copies the earlier stage's distances along an
+    injective embedding, then overwrites a few pairs, so both clean and
+    distorted embeddings occur, among them pairs stored in the later stage
+    whose preimage is at distance 1.
+    """
+    sizes = [draw(st.integers(1, 5))]
+    for _ in range(draw(st.integers(0, 3))):
+        sizes.append(draw(st.integers(1, 6)))
+    stages = [draw(random_stage(sizes[0]))]
+    embeddings = []
+    for k in range(1, len(sizes)):
+        a, m = stages[-1], sizes[k]
+        b = draw(random_stage(m))
+        if m >= a.n and draw(st.booleans()):
+            emb = tuple(draw(st.permutations(range(m)))[: a.n])
+            if draw(st.booleans()):
+                dist = {}
+                for (i, j), d in a.dist.items():
+                    x, y = sorted((emb[i], emb[j]))
+                    dist[(x, y)] = d
+                for (x, y), d in b.dist.items():
+                    if draw(st.integers(0, 3)) == 0:
+                        dist[(x, y)] = d
+                b = replace(b, dist=dict(sorted(dist.items())))
+        else:
+            emb = tuple(draw(st.lists(st.integers(0, m - 1), min_size=a.n, max_size=a.n)))
+        stages.append(b)
+        embeddings.append(emb)
+    return stages, embeddings
+
+
+@settings(max_examples=200, deadline=None)
+@given(directed_systems())
+def test_directed_system_matches_all_pairs_reference(system):
+    stages, embeddings = system
+    got = tower.check_directed_system(stages, embeddings)
+    assert got == all_pairs_directed_system(stages, embeddings)
+
+
+@st.composite
+def loose_sliced_spaces(draw):
+    """Sliced spaces whose stored distances may cross slices or reach 1."""
+    n = draw(st.integers(1, 8))
+    top = draw(st.integers(0, 3))
+    slices = tuple(F(draw(st.integers(0, top))) for _ in range(n))
+    dist = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            same = slices[i] == slices[j]
+            if draw(st.integers(0, 2 if same else 8)) == 0:
+                continue
+            if same or draw(st.integers(0, 5)) == 0:
+                dist[(i, j)] = draw(st.sampled_from(DISTANCES[1:]))
+    cells = tuple(Cell(i, 0, None if i % 2 else f"t{i}") for i in range(n))
+    return DiscreteSpace(cells, tuple(1 << i for i in range(n)), dist, slices, F(1, 4))
+
+
+TURN_POOL = [
+    tower.PiecewiseLinearFn(((F(0), F(1)),)),
+    tower.PiecewiseLinearFn(((F(0), F(1, 2)), (F(3), F(1, 2)))),
+    tower.PiecewiseLinearFn(((F(0), F(1)), (F(1), F(1, 4)), (F(3), F(1)))),
+    tower.default_turn_functions(4)[0],
+    tower.default_turn_functions(4)[1],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(random_sliced_spaces(), loose_sliced_spaces()),
+    st.sampled_from(TURN_POOL),
+    st.sampled_from(TURN_POOL),
+    st.sampled_from([F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]),
+)
+def test_build_w_and_cover_match_all_pairs_reference(base, f1, f2, r):
+    w = tower.build_W(base, f1, f2)
+    ref = all_pairs_build_W(base, f1, f2)
+    assert list(w.space.dist.items()) == list(ref.space.dist.items())
+    assert w == ref
+    assert tower.check_cover_radius(w, r) == all_pairs_cover_radius(ref, r)
