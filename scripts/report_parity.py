@@ -33,7 +33,8 @@ each with and without `--max-candidates 10`.  They also run
 - `gate-oracle --variant plain|dagger --n 16|32`, the pitches the
   benchmark's `oracle` workload runs,
 - `tower --kind forward|reverse|exact-pair --n 1|3|6`, each with and without
-  `--limit`,
+  `--limit`, and `--n 50|200 --limit`, the sizes the benchmark's
+  `truncation` workload runs,
 - `export-dot hasse|circuit` on every lattice of at least two elements; both
   trees write to the same `-o` path, and the written file's bytes count as
   part of the report.
@@ -128,6 +129,8 @@ def main() -> int:
             for n in (1, 3, 6):
                 for extra in ([], ["--limit"]):
                     runs.append(["tower", "--kind", kind, "--n", str(n), *extra])
+            for n in (50, 200):
+                runs.append(["tower", "--kind", kind, "--n", str(n), "--limit"])
         for variant in ("plain", "dagger"):
             for n in (16, 32):
                 runs.append(["gate-oracle", "--variant", variant, "--n", str(n)])

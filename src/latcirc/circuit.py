@@ -204,7 +204,6 @@ def smaller_adequate_exists(l: FiniteLattice, size: int) -> bool:
 @dataclass(frozen=True)
 class IsoResult:
     ok: bool
-    mapping: dict | None
     witness: str | None
     assignments: tuple[Assignment, ...]  # the circuit's, canonically ordered
 
@@ -224,7 +223,7 @@ def verify_iso(l: FiniteLattice, c: Circuit) -> IsoResult:
     got = tuple(definable_assignments(c))
 
     def fail(witness: str) -> IsoResult:
-        return IsoResult(False, None, witness, got)
+        return IsoResult(False, witness, got)
 
     mapping = {a: lattice_assignment(l, a) for a in range(l.n)}
     values = set(mapping.values())
@@ -249,7 +248,7 @@ def verify_iso(l: FiniteLattice, c: Circuit) -> IsoResult:
         return fail("bottom does not map to the empty set")
     if mapping[l.top] != tuple([1] * c.n):
         return fail("top does not map to the whole space")
-    return IsoResult(True, mapping, None, got)
+    return IsoResult(True, None, got)
 
 
 # ---------------------------------------------------------------------------

@@ -194,11 +194,15 @@ def validate(s: DiscreteSpace) -> list[str]:
                     f"Alexandrov base violated: {y} in min_open({i}) but "
                     f"min_open({y}) is not contained in it"
                 )
+    unindexable = False  # a key naming no cell stops the walks below
     for (a, b), d in s.dist.items():
-        if not (a < b < s.n):
+        if not (0 <= a < b < s.n):
             diags.append(f"bad distance key ({a},{b})")
+            unindexable |= not (0 <= a < s.n and 0 <= b < s.n)
         if not (0 < d < 1):
             diags.append(f"stored distance d({a},{b})={d} outside (0,1)")
+    if unindexable:
+        return diags
     one = lcm(*(d.denominator for d in s.dist.values()))
     above: dict = {}  # x -> {z: scaled d(x, z)} for the stored keys (x, z)
     for (a, b), d in s.dist.items():

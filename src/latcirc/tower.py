@@ -3,8 +3,8 @@
 Chains of soldered-input gates realize ordinal-shaped families of definable
 sets; an extra three-gate gadget on top of a chain realizes an exact pair
 with no meet.  Truncations are ordinary circuits; the limit families are
-symbolic, answered by finite case analysis on an eventually-constant
-per-gate state sequence, never by infinite enumeration.
+symbolic, answered by finite case analysis on one breakpoint, never by
+infinite enumeration.
 """
 
 from __future__ import annotations
@@ -58,48 +58,40 @@ def truncate(kind: TowerKind, n: int) -> Circuit:
     return Circuit(tuple(nodes), gates, ("tower", kind, n))
 
 
-# Per-gate terminal memberships: does the state contain the shared g-side
-# vertex, and does it contain the out-side vertex?
-_G_IN = {FULL: 1, E_STATE: 1, EMPTY: 0}
-_OUT_IN = {FULL: 1, E_STATE: 0, EMPTY: 0}
-
-
 @dataclass(frozen=True)
 class LimitSet:
-    """A definable set of the symbolic limit, by per-gate states.
+    """A definable set of the symbolic limit, by its one breakpoint.
 
-    prefix lists the first few gates' states; tail is the state of every
-    later gate.  Gate states are 'empty', 'E' (the one nonempty proper
-    definable piece of a soldered-input gate), or 'full'.  For the exact
-    pair, gadget records membership of the two side pieces.
+    Gate states are 'empty', 'E' (the one nonempty proper definable piece of
+    a soldered-input gate: its g vertex without its out vertex) or 'full'.
+    Adjacent gates share a vertex and must agree on its membership.  A
+    forward chain solders gate i's out to gate i+1's g, so 'full' is
+    followed by 'full' or 'E' and the other two only by 'empty'; a reverse
+    chain solders the other way, so 'empty' is followed by 'empty' or 'E'
+    and the other two only by 'full'.  Hence every soldered sequence is
+    constant (beta None) or has one breakpoint: 'E' at gate beta, the other
+    constant state before it and the tail after it, the tail being 'empty'
+    on forward and exact-pair chains (D_beta), 'full' on reverse ones
+    (D*_beta).  For the exact pair, gadget records membership of the two
+    side pieces.
     """
 
     kind: TowerKind
-    prefix: tuple[str, ...]
     tail: str
+    beta: int | None = None
     gadget: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        states = {EMPTY, E_STATE, FULL}
         if self.tail not in (EMPTY, FULL):
             raise ValueError("tail state must be 'empty' or 'full'")
-        if any(s not in states for s in self.prefix):
-            raise ValueError("bad gate state in prefix")
-        # canonical form: the prefix never ends in the tail state, so equal
-        # sets compare equal and prefix length is a usable rank
-        prefix = self.prefix
-        while prefix and prefix[-1] == self.tail:
-            prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
-        # adjacent gates share a vertex; its membership must agree on both
-        seq = list(self.prefix) + [self.tail, self.tail]
-        for s, t in zip(seq, seq[1:]):
-            if self.kind is TowerKind.REVERSE_CHAIN:
-                ok = _G_IN[s] == _OUT_IN[t]  # gate i's g is gate i+1's out
-            else:
-                ok = _OUT_IN[s] == _G_IN[t]  # gate i's out is gate i+1's g
-            if not ok:
-                raise ValueError(f"state sequence {seq[:-1]} breaks the soldering")
+        if self.beta is not None:
+            if self.beta < 0:
+                raise ValueError("breakpoint must be >= 0")
+            after = FULL if self.kind is TowerKind.REVERSE_CHAIN else EMPTY
+            if self.tail != after:
+                raise ValueError(
+                    f"a breakpoint on a {self.kind.value} chain needs tail '{after}'"
+                )
         if self.kind is TowerKind.EXACT_PAIR:
             if self.gadget != (0, 0) and self.tail != FULL:
                 raise ValueError("gadget pieces require the whole chain")
@@ -114,7 +106,11 @@ class LimitSet:
         return self.tail == FULL
 
     def state(self, i: int) -> str:
-        return self.prefix[i] if i < len(self.prefix) else self.tail
+        if self.beta is None or i > self.beta:
+            return self.tail
+        if i == self.beta:
+            return E_STATE
+        return EMPTY if self.tail == FULL else FULL
 
 
 class LimitFamily:
@@ -122,32 +118,29 @@ class LimitFamily:
 
     Chains are totally ordered; the exact pair adds two incomparable sets on
     top of the chain.  Everything reduces to a finite case analysis on
-    (prefix length, tail state, gadget flags).
+    (breakpoint, tail state, gadget flags).
     """
 
     def __init__(self, kind: TowerKind):
         self.kind = kind
 
     def bot(self) -> LimitSet:
-        return LimitSet(self.kind, (), EMPTY)
+        return LimitSet(self.kind, EMPTY)
 
     def top(self) -> LimitSet:
         if self.kind is TowerKind.EXACT_PAIR:
-            return LimitSet(self.kind, (), FULL, (1, 1))
-        return LimitSet(self.kind, (), FULL)
+            return LimitSet(self.kind, FULL, gadget=(1, 1))
+        return LimitSet(self.kind, FULL)
 
     def d(self, beta: int) -> LimitSet:
         """The beta-th proper set: forward D_beta, reverse D*_beta."""
-        if beta < 0:
-            raise ValueError("stage index must be >= 0")
-        if self.kind is TowerKind.REVERSE_CHAIN:
-            return LimitSet(self.kind, tuple([EMPTY] * beta + [E_STATE]), FULL)
-        return LimitSet(self.kind, tuple([FULL] * beta + [E_STATE]), EMPTY)
+        tail = FULL if self.kind is TowerKind.REVERSE_CHAIN else EMPTY
+        return LimitSet(self.kind, tail, beta)
 
     def side(self, which: str) -> LimitSet:
         if self.kind is not TowerKind.EXACT_PAIR:
             raise ValueError("side pieces exist only for the exact pair")
-        return LimitSet(self.kind, (), FULL, (1, 0) if which == "a" else (0, 1))
+        return LimitSet(self.kind, FULL, gadget=(1, 0) if which == "a" else (0, 1))
 
     def elements(self, depth: int) -> list[LimitSet]:
         out = [self.bot()] + [self.d(b) for b in range(depth)]
@@ -161,13 +154,12 @@ class LimitFamily:
         if u.tail == FULL:
             if self.kind is TowerKind.EXACT_PAIR:
                 return None
-            if self.kind is TowerKind.REVERSE_CHAIN:
-                # top has empty prefix; D*_beta has prefix length beta+1
-                return (2,) if not u.prefix else (1, -len(u.prefix))
+            if self.kind is TowerKind.REVERSE_CHAIN and u.beta is not None:
+                return (1, -u.beta)  # D*_beta shrinks as beta grows
             return (2,)
-        if not u.prefix:
+        if u.beta is None:
             return (0,)
-        return (1, len(u.prefix))
+        return (1, u.beta)
 
     def leq(self, u: LimitSet, v: LimitSet) -> bool:
         lu, lv = self._chain_level(u), self._chain_level(v)
@@ -185,7 +177,7 @@ class LimitFamily:
             return u
         # only incomparable pair shapes are exact-pair tail-full sets
         g = (max(u.gadget[0], v.gadget[0]), max(u.gadget[1], v.gadget[1]))
-        return LimitSet(self.kind, (), FULL, g)
+        return LimitSet(self.kind, FULL, gadget=g)
 
     def meet_exists(self, u: LimitSet, v: LimitSet) -> LimitSet | None:
         """The greatest lower bound when it exists, else None.
@@ -201,7 +193,7 @@ class LimitFamily:
         g = (min(u.gadget[0], v.gadget[0]), min(u.gadget[1], v.gadget[1]))
         if g == (0, 0):
             return None
-        return LimitSet(self.kind, (), FULL, g)
+        return LimitSet(self.kind, FULL, gadget=g)
 
     def lower_bounds(self, u: LimitSet, v: LimitSet, depth: int) -> list[LimitSet]:
         return [
@@ -215,7 +207,10 @@ class LimitFamily:
         meet is missing every lower bound is strictly dominated: the
         lower-bound family has no maximum.
         """
-        candidates = [self.d(len(w.prefix) + 1), self.d(0), self.bot()]
+        # reach counts the gates up to and including w's breakpoint; on
+        # forward chains d(reach + 1) lies strictly above w
+        reach = 0 if w.beta is None else w.beta + 1
+        candidates = [self.d(reach + 1), self.d(0), self.bot()]
         for c in candidates:
             if (
                 self.leq(w, c)
@@ -247,25 +242,25 @@ class LimitFamily:
 def restrict(d: LimitSet, n: int) -> tuple:
     """The truncation of a limit set to the n-stage circuit, checked.
 
-    Chain-node memberships come from the per-gate states.  The exact pair's
-    top node stands in for the whole-chain limit point (the gadget hangs off
-    it), so only sets containing the full chain occupy it.  The result is
+    A constant set holds all n + 1 chain nodes or none.  A breakpoint beta
+    holds nodes 0..min(beta, n) on forward and exact-pair chains, and on
+    reverse chains the mirror image, nodes beta+1..n.  The exact pair's top
+    node stands in for the whole-chain limit point (the gadget hangs off it),
+    so only sets containing the full chain occupy it.  The result is
     validated against the truncation's gate constraints.
     """
     if n < 1:
         raise ValueError("truncation level must be >= 1")
     kind = d.kind
-    if kind is TowerKind.FORWARD_CHAIN:
-        mem = [_G_IN[d.state(i)] for i in range(n)]
-        mem.append(_OUT_IN[d.state(n - 1)])
-    elif kind is TowerKind.REVERSE_CHAIN:
-        mem = [_OUT_IN[d.state(i)] for i in range(n)]
-        mem.append(_G_IN[d.state(n - 1)])
+    if d.beta is None:
+        mem = [int(d.tail == FULL)] * (n + 1)
     else:
-        chain_full = d.tail == FULL
-        mem = [_G_IN[d.state(i)] if not chain_full else 1 for i in range(n)]
-        mem.append(1 if chain_full else 0)
-        mem += [d.gadget[0], d.gadget[1]]
+        k = min(d.beta + 1, n + 1)  # nodes 0..beta, cut at the truncation
+        low, high = (0, 1) if kind is TowerKind.REVERSE_CHAIN else (1, 0)
+        mem = [low] * k + [high] * (n + 1 - k)
+    if kind is TowerKind.EXACT_PAIR:
+        mem[n] = int(d.tail == FULL)
+        mem += d.gadget
     asg = tuple(mem)
     if not circuit_mod.satisfies(_gates(kind, n), asg):
         raise AssertionError(f"restriction {asg} violates the truncation gates")
@@ -293,23 +288,25 @@ def check_directed_system(stages, embeddings) -> DirectedSystemReport:
     newer cells.  Eventual openness: each cell is interior to some stage's
     image inside the final stage; a finite system always has its last stage
     as a trivial witness, so the report records the first covering stage.
-    An embedding that sends a cell outside its target stage raises
-    ValueError.
+    An embedding whose length is not its source stage's cell count, or that
+    sends a cell outside its target stage, raises ValueError.
     """
     if len(embeddings) != len(stages) - 1:
         raise ValueError("need exactly one embedding per adjacent stage pair")
     emb_viol = []
     for k, emb in enumerate(embeddings):
         a, b = stages[k], stages[k + 1]
+        if len(emb) != a.n:
+            raise ValueError(
+                f"embedding {k} has {len(emb)} entries for the {a.n} cells "
+                f"of stage {k}"
+            )
         for i, x in enumerate(emb):
             if not 0 <= x < b.n:
                 raise ValueError(
                     f"embedding {k} sends cell {i} to {x}, outside the "
                     f"{b.n} cells of stage {k + 1}"
                 )
-        if len(emb) != a.n:
-            emb_viol.append(f"embedding {k} has wrong domain size")
-            continue
         for i, j in _suspect_pairs(a, b, emb):
             if a.distance(i, j) != b.distance(emb[i], emb[j]):
                 emb_viol.append(f"embedding {k} distorts d({i},{j})")

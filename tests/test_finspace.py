@@ -52,6 +52,19 @@ class TestValidate:
         assert any("Alexandrov" in d for d in fs.validate(s4))
 
 
+    @pytest.mark.parametrize("key", [(0, 5), (-1, 1)])
+    def test_distance_key_outside_cells_reported(self, key):
+        # the diagnostics so far come back before any walk indexes a cell,
+        # so the slicing check never reads the out-of-range key
+        cells = (Cell(0, 0), Cell(1, 0))
+        dist = {key: F(1, 2), (0, 1): F(3, 2)}
+        s = DiscreteSpace(cells, (1, 2), dist, (F(0), F(1)))
+        assert fs.validate(s) == [
+            f"bad distance key ({key[0]},{key[1]})",
+            "stored distance d(0,1)=3/2 outside (0,1)",
+        ]
+
+
 class TestClosureInterior:
     def test_whole_space(self):
         s = edge_with_ends()

@@ -117,23 +117,35 @@ class TestLimitSets:
         assert all(d.state(i) == tower.EMPTY for i in range(5, 40))
 
     def test_invalid_sequences_rejected(self):
-        with pytest.raises(ValueError):
-            tower.LimitSet(FC, (tower.FULL, tower.EMPTY), tower.EMPTY)
-        with pytest.raises(ValueError):
-            tower.LimitSet(RC, (tower.EMPTY,), tower.FULL)
-        with pytest.raises(ValueError):
-            tower.LimitSet(FC, (tower.E_STATE,), tower.FULL)
+        with pytest.raises(ValueError, match="tail state"):
+            tower.LimitSet(FC, tower.E_STATE)
+        # a breakpoint with the wrong tail for its chain
+        with pytest.raises(ValueError, match="needs tail 'empty'"):
+            tower.LimitSet(FC, tower.FULL, 2)
+        with pytest.raises(ValueError, match="needs tail 'full'"):
+            tower.LimitSet(RC, tower.EMPTY, 0)
+        with pytest.raises(ValueError, match="needs tail 'empty'"):
+            tower.LimitSet(EP, tower.FULL, 1, (1, 1))
+        for kind in (FC, RC, EP):
+            with pytest.raises(ValueError, match="breakpoint must be >= 0"):
+                tower.LimitFamily(kind).d(-1)
+        with pytest.raises(ValueError, match="require the whole chain"):
+            tower.LimitSet(EP, tower.EMPTY, 3, (1, 0))
+        with pytest.raises(ValueError, match="nonempty gadget side"):
+            tower.LimitSet(EP, tower.FULL)
+        with pytest.raises(ValueError, match="only exact-pair sets"):
+            tower.LimitSet(FC, tower.FULL, gadget=(0, 1))
 
     def test_redundant_prefixes_canonicalize(self):
         fam = tower.LimitFamily(FC)
-        assert tower.LimitSet(FC, (tower.EMPTY, tower.EMPTY), tower.EMPTY) == fam.bot()
-        assert tower.LimitSet(FC, (tower.FULL,), tower.FULL) == fam.top()
+        assert tower.LimitSet(FC, tower.EMPTY) == fam.bot()
+        assert tower.LimitSet(FC, tower.FULL) == fam.top()
+        assert tower.LimitSet(FC, tower.EMPTY, 4) == fam.d(4) != fam.d(3)
         famr = tower.LimitFamily(RC)
-        spelled_out = tower.LimitSet(
-            RC, (tower.EMPTY, tower.E_STATE, tower.FULL), tower.FULL
-        )
-        assert spelled_out == famr.d(1)
+        spelled_out = tower.LimitSet(RC, tower.FULL, 1)
+        assert spelled_out == famr.d(1) and hash(spelled_out) == hash(famr.d(1))
         assert famr.leq(spelled_out, famr.d(0))
+        assert not famr.leq(famr.d(0), spelled_out)
 
     def test_joins_and_meets_on_chains(self):
         fam = tower.LimitFamily(FC)
@@ -197,6 +209,70 @@ class TestRestrict:
         fam = tower.LimitFamily(kind)
         asgs = set(cc.definable_assignments(tower.truncate(kind, n)))
         assert {tower.restrict(d, n) for d in fam.elements(n + 2)} == asgs
+
+
+# The state-by-state restriction the breakpoint form replaced, kept verbatim
+# with its per-gate terminal tables as a reference.
+_G_IN = {tower.FULL: 1, tower.E_STATE: 1, tower.EMPTY: 0}
+_OUT_IN = {tower.FULL: 1, tower.E_STATE: 0, tower.EMPTY: 0}
+
+
+def state_walk_restrict(d, n):
+    kind = d.kind
+    if kind is TowerKind.FORWARD_CHAIN:
+        mem = [_G_IN[d.state(i)] for i in range(n)]
+        mem.append(_OUT_IN[d.state(n - 1)])
+    elif kind is TowerKind.REVERSE_CHAIN:
+        mem = [_OUT_IN[d.state(i)] for i in range(n)]
+        mem.append(_G_IN[d.state(n - 1)])
+    else:
+        chain_full = d.tail == tower.FULL
+        mem = [_G_IN[d.state(i)] if not chain_full else 1 for i in range(n)]
+        mem.append(1 if chain_full else 0)
+        mem += [d.gadget[0], d.gadget[1]]
+    return tuple(mem)
+
+
+def soldered(kind, seq):
+    """Whether adjacent gate states agree on their shared vertex."""
+    for s, t in zip(seq, seq[1:]):
+        if kind is TowerKind.REVERSE_CHAIN:
+            ok = _G_IN[s] == _OUT_IN[t]  # gate i's g is gate i+1's out
+        else:
+            ok = _OUT_IN[s] == _G_IN[t]  # gate i's out is gate i+1's g
+        if not ok:
+            return False
+    return True
+
+
+class TestBreakpointForm:
+    @pytest.mark.parametrize("kind", [FC, RC, EP])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_restrict_matches_state_walk(self, kind, n):
+        for d in tower.LimitFamily(kind).elements(n + 3):
+            assert tower.restrict(d, n) == state_walk_restrict(d, n)
+
+    @pytest.mark.parametrize("kind", [FC, RC, EP])
+    def test_soldered_sequences_are_limit_sets(self, kind):
+        # a prefix of up to six states, then the tail forever: soldered
+        # exactly when some LimitSet (constant or one breakpoint) has them
+        states = (tower.EMPTY, tower.E_STATE, tower.FULL)
+        for length in range(7):
+            for prefix in product(states, repeat=length):
+                for tail in (tower.EMPTY, tower.FULL):
+                    seq = list(prefix) + [tail, tail]
+                    gadget = (1, 1) if kind is EP and tail == tower.FULL else (0, 0)
+                    shapes = []
+                    for beta in [None, *range(length + 1)]:
+                        try:
+                            shapes.append(tower.LimitSet(kind, tail, beta, gadget))
+                        except ValueError:
+                            pass
+                    has = any(
+                        all(u.state(i) == x for i, x in enumerate(seq))
+                        for u in shapes
+                    )
+                    assert has == soldered(kind, seq), (kind, seq)
 
 
 class TestDirectedSystems:
@@ -439,6 +515,17 @@ class TestDirectedSystemEmbeddingRange:
         point = fs.point_space()
         with pytest.raises(ValueError, match=r"embedding 1 sends cell 1 to -1"):
             tower.check_directed_system([point, two, two], [(0,), (0, -1)])
+
+    def test_short_embedding_raises_value_error(self):
+        two = DiscreteSpace((Cell(0, 0), Cell(1, 0)), (1, 2), {})
+        with pytest.raises(ValueError, match=r"embedding 0 has 1 entries for the 2 cells"):
+            tower.check_directed_system([two, two], [(0,)])
+
+    def test_long_embedding_raises_value_error(self):
+        two = DiscreteSpace((Cell(0, 0), Cell(1, 0)), (1, 2), {})
+        point = fs.point_space()
+        with pytest.raises(ValueError, match=r"embedding 1 has 2 entries for the 1 cells"):
+            tower.check_directed_system([point, point, two], [(0,), (0, 1)])
 
 
 # The all-pairs loops the sparse metric checks replaced, kept verbatim as
