@@ -32,6 +32,10 @@ each with and without `--max-candidates 10`.  They also run
 
 - `gate-oracle --variant plain|dagger --n 16|32`, the pitches the
   benchmark's `oracle` workload runs,
+- `gate-oracle --variant plain|dagger --n 8|32 --probes 200 --seed 7` and
+  `gate-oracle --n 8 --r-min 0 --probes 50`, whose random closed sets
+  exercise `is_definable` on sets of every size, at the default floor and
+  at 0,
 - `tower --kind forward|reverse|exact-pair --n 1|3|6`, each with and without
   `--limit`, and `--n 50|200 --limit`, the sizes the benchmark's
   `truncation` workload runs,
@@ -134,6 +138,10 @@ def main() -> int:
         for variant in ("plain", "dagger"):
             for n in (16, 32):
                 runs.append(["gate-oracle", "--variant", variant, "--n", str(n)])
+            for n in (8, 32):
+                runs.append(["gate-oracle", "--variant", variant, "--n", str(n),
+                             "--probes", "200", "--seed", "7"])
+        runs.append(["gate-oracle", "--n", "8", "--r-min", "0", "--probes", "50"])
         floor_runs = []
         for variant in ("plain", "dagger"):
             for n in (2, 3, 4, 8):

@@ -9,10 +9,11 @@ other distinct pair is at distance exactly 1.
 
 Each space is compiled once, on first use, into a private view held on the
 instance (it takes no part in equality or repr): the closure mask of every
-cell, the sorted distance values, and, each built lazily, the per-cell list
-of stored neighbours with their distances and, per radius r, one mask per
-cell of the cells strictly within r.  Closure, expansion, thresholds and the
-closed-set generators read that view instead of rebuilding it.  The metric
+cell, the offset masks of closure and minimal opens (below), the sorted
+distance values, and, each built lazily, the per-cell list of stored
+neighbours with their distances and, per radius r, one mask per cell of the
+cells strictly within r.  Closure, expansion, thresholds and the closed-set
+generators read that view instead of rebuilding it.  The metric
 checks (validate here; the directed-system, three-copy and cover-radius
 checks in tower) walk only the stored distances, validate and the cover
 radius through the neighbour lists, so they cost O(stored pairs) rather
@@ -24,11 +25,23 @@ int(expand(d, r0)) puts d inside int(expand(d, r)) for every larger r.  And d
 lies inside int(E) exactly when every minimal open of a cell of d lies inside
 E, so with U(d) the union of those minimal opens and N(d) the cells within r0
 of d, the whole test is U(d) & ~(d | N(d)) == 0.
+
+The kernel computes cl(d), U(d) and N(d) at once, by offset rather than by
+cell.  For a relation R and an offset k != 0, M_k is the mask of cells x with
+x + k in R(x); then R(d) is the union over k of (d & M_k) shifted by k.  The
+three relations sit side by side as blocks of one 3n-bit mask per offset, so
+with d3 = d | d << n | d << 2n one shift and OR per offset gives all three.
+Cells of a gate complex are numbered copy by copy, so its neighbourhoods use
+few offsets (40 for one gate at every pitch, 6 to 7 per gate once soldered):
+a check costs O(offsets * n / 64) words however many cells d holds.  The
+closure and minimal-open masks are built with the view, the near block once
+per threshold r0.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -109,21 +122,32 @@ class DiscreteSpace:
 class _View:
     """The compiled tables of one space (see the module docstring)."""
 
-    __slots__ = ("closure", "values", "_adj", "_near", "_floors")
+    __slots__ = (
+        "closure", "offsets", "values", "_adj", "_near", "_floors",
+        "_floor", "_entry",
+    )
 
     def __init__(self, s: DiscreteSpace):
-        cl = [1 << i for i in range(s.n)]
-        for y in range(s.n):
+        n = s.n
+        cl = [1 << i for i in range(n)]
+        rows = defaultdict(list)  # offset k -> cells y with y + k in min_open(y)
+        for y in range(n):
             for x in bits(s.min_open[y]):
-                cl[x] |= 1 << y
+                if x != y:
+                    cl[x] |= 1 << y
+                    rows[x - y].append(y)
         self.closure = tuple(cl)
+        self.offsets: dict = {}  # offset k -> its cl | min_open << n mask
+        for k, ys in rows.items():
+            _add_both_ways(self.offsets, k, _mask(ys, n), n, 0)
         vals = set(s.dist.values())
-        if len(s.dist) < s.n * (s.n - 1) // 2:
+        if len(s.dist) < n * (n - 1) // 2:
             vals.add(Fraction(1))
         self.values = tuple(sorted(vals))
         self._adj = None  # per-cell stored neighbours, built on first use
         self._near: dict = {}  # count of distance values below r -> masks
-        self._floors: dict = {}  # r_min -> (r0 or None, packed kernel table)
+        self._floors: dict = {}  # count of values <= r_min -> kernel entry
+        self._floor = self._entry = None  # the last floor asked for, and its entry
 
     def neighbours(self, s: DiscreteSpace) -> tuple:
         """Per cell, its (other cell, distance) pairs in the order of s.dist."""
@@ -149,21 +173,65 @@ class _View:
         return masks
 
     def kernel(self, s: DiscreteSpace, r_min) -> tuple:
-        """The smallest threshold above r_min, and per cell the packed mask
-        cl(x) | min_open(x) << n | near_r0(x) << 2n."""
-        entry = self._floors.get(r_min)
+        """The smallest threshold r0 above r_min, and the offset masks of
+        cl | min_open << n | near_r0 << 2n as pairs (see _pairs).
+
+        The last floor is found by identity; a new one is checked for sign
+        once and keyed by how many distance values it reaches.
+        """
+        if r_min is self._floor:
+            return self._entry
+        if r_min < 0:
+            raise ValueError("r_min must be nonnegative")
+        vals = self.values
+        i = bisect_right(vals, r_min)
+        entry = self._floors.get(i)
         if entry is None:
-            vals = self.values
-            i = bisect_right(vals, r_min)
             r0 = vals[i] if i < len(vals) and vals[i] <= 1 else None
-            near = self.near(s, r0) if r0 is not None else (0,) * s.n
-            n = s.n
-            table = tuple(
-                c | m << n | a << 2 * n
-                for c, m, a in zip(self.closure, s.min_open, near)
-            )
-            entry = self._floors[r_min] = (r0, table)
+            table = dict(self.offsets)
+            if r0 is not None:
+                rows = defaultdict(list)  # offset k -> cells a with a + k near a
+                for (a, b), d in s.dist.items():
+                    if d < r0 and a != b:
+                        rows[b - a].append(a)
+                n = s.n
+                for k, xs in rows.items():
+                    _add_both_ways(table, k, _mask(xs, n), 2 * n, 2 * n)
+            entry = self._floors[i] = (r0, _pairs(table))
+        self._floor, self._entry = r_min, entry
         return entry
+
+
+def _mask(positions, width: int) -> int:
+    """The int with the given bits set, built in one pass over a byte buffer."""
+    buf = bytearray((width + 7) >> 3)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _add_both_ways(table: dict, k: int, m: int, at: int, back: int) -> None:
+    """OR into the table the cells m of a relation at offset k, in the block
+    starting at bit `at`, and its converse at offset -k (the cells x + k for
+    x in m) in the block starting at bit `back`."""
+    table[k] = table.get(k, 0) | m << at
+    m = m << k if k > 0 else m >> -k
+    table[-k] = table.get(-k, 0) | m << back
+
+
+def _pairs(table: dict) -> tuple:
+    """Offset masks as (k, M_k, M_-k) for each k > 0; _add_both_ways puts
+    every offset in the table together with its negative."""
+    return tuple((k, table[k], table[-k]) for k in sorted(table) if k > 0)
+
+
+def _spread(d: int, pairs: tuple) -> int:
+    """The union over offsets k of (d & M_k) moved by k: the cells reached
+    from d by each relation whose block the masks carry."""
+    acc = 0
+    for k, up, down in pairs:
+        acc |= (d & up) << k | (d & down) >> k
+    return acc
 
 
 def _view(s: DiscreteSpace) -> _View:
@@ -279,47 +347,41 @@ def thresholds(s: DiscreteSpace, r_min: Fraction) -> list[Fraction]:
 
 def _failure(s: DiscreteSpace, d: int, r_min: Fraction):
     """None when d is definable; otherwise (None, missing cells) when d is not
-    closed, or (threshold, cell) for the first failing containment: the
-    smallest threshold and the lowest cell of d outside int(expand(d, r))."""
-    if r_min < 0:
-        raise ValueError("r_min must be nonnegative")
-    if d == 0 or d == s.full_mask:
-        return None
-    view = _view(s)
-    r0, table = view.kernel(s, r_min)
-    acc = 0
-    m = d
-    while m:
-        low = m & -m
-        acc |= table[low.bit_length() - 1]
-        m ^= low
+    closed, or (r0, bad) when d fails containment at the smallest threshold
+    r0: bad holds the cells of U(d) outside d | N(d)."""
+    r0, pairs = _view(s).kernel(s, r_min)
     n = s.n
+    if d >> n:  # also nonzero for a negative mask
+        raise ValueError(f"cell mask out of range: need 0 <= mask < 2**{n}")
     full = (1 << n) - 1
+    if d == 0 or d == full:
+        return None
+    acc = _spread(d | d << n | d << 2 * n, pairs)
     missing = acc & full & ~d
     if missing:
         return None, missing
     if r0 is None:
         return None
     bad = acc >> n & full & ~(d | acc >> 2 * n)
-    if not bad:
-        return None
-    # the cells of d whose minimal open meets `bad` are d & cl(bad)
-    hit = 0
-    for y in bits(bad):
-        hit |= view.closure[y]
-    hit &= d
-    return r0, (hit & -hit).bit_length() - 1
+    return (r0, bad) if bad else None
 
 
 def why_not_definable(s: DiscreteSpace, d: int, r_min: Fraction) -> str | None:
-    """None when definable; otherwise a reason, distinguishing non-closedness."""
+    """None when definable; otherwise a reason, distinguishing non-closedness.
+
+    A containment failure names the lowest cell of d outside
+    int(expand(d, r0)): the cells of d whose minimal open meets bad are
+    d & cl(bad).
+    """
     fail = _failure(s, d, r_min)
     if fail is None:
         return None
     r, where = fail
     if r is None:
         return f"not closed: missing cells {members(where)}"
-    return f"fails containment in int(expand) at threshold {r} (cell {where})"
+    hit = d & _spread(where, _view(s).kernel(s, r_min)[1])
+    cell = (hit & -hit).bit_length() - 1
+    return f"fails containment in int(expand) at threshold {r} (cell {cell})"
 
 
 def is_definable(s: DiscreteSpace, d: int, r_min: Fraction) -> bool:
@@ -514,15 +576,14 @@ def random_closed_sets(s: DiscreteSpace, count: int, seed: int) -> list[int]:
     import random
 
     rng = random.Random(seed)
-    cl = _view(s).closure
+    pairs = _pairs(_view(s).offsets)
     probs = [0.15, 0.3, 0.5, 0.7, 0.85]
     out = []
     for k in range(count):
         p = probs[k % len(probs)]
-        c = 0
-        for x in [i for i in range(s.n) if rng.random() < p]:
-            c |= cl[x]  # cl[x] holds x itself
-        out.append(c)
+        drawn = ["1" if rng.random() < p else "0" for _ in range(s.n)]
+        c = int("".join(reversed(drawn)) or "0", 2)
+        out.append(c | _spread(c, pairs))
     return out
 
 

@@ -1,12 +1,16 @@
 import itertools
+import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latcirc import circuit as cc
 from latcirc import finspace as fs
 from latcirc import gate
+from latcirc import order_core as oc
 from latcirc.finspace import Cell, DiscreteSpace
 
 
@@ -234,6 +238,157 @@ class TestKernelMatchesDefinition:
             want = naive_why_not(s, d, r_min)
             assert fs.why_not_definable(s, d, r_min) == want
             assert fs.is_definable(s, d, r_min) == (want is None)
+
+
+def packed_kernel(s, r_min):
+    """The packed kernel table as it was before the offset masks, uncached:
+    the smallest threshold above r_min, and per cell the packed mask
+    cl(x) | min_open(x) << n | near_r0(x) << 2n."""
+    vals = fs._view(s).values
+    i = bisect_right(vals, r_min)
+    r0 = vals[i] if i < len(vals) and vals[i] <= 1 else None
+    near = fs.near_masks(s, r0) if r0 is not None else (0,) * s.n
+    n = s.n
+    table = tuple(
+        c | m << n | a << 2 * n
+        for c, m, a in zip(s.closure_masks(), s.min_open, near)
+    )
+    return r0, table
+
+
+def packed_failure(s, d, r_min):
+    """_failure as it was before the offset masks, kept as a reference: one
+    packed table entry ORed per cell of d."""
+    if r_min < 0:
+        raise ValueError("r_min must be nonnegative")
+    if d == 0 or d == s.full_mask:
+        return None
+    r0, table = packed_kernel(s, r_min)
+    acc = 0
+    m = d
+    while m:
+        low = m & -m
+        acc |= table[low.bit_length() - 1]
+        m ^= low
+    n = s.n
+    full = (1 << n) - 1
+    missing = acc & full & ~d
+    if missing:
+        return None, missing
+    if r0 is None:
+        return None
+    bad = acc >> n & full & ~(d | acc >> 2 * n)
+    if not bad:
+        return None
+    # the cells of d whose minimal open meets `bad` are d & cl(bad)
+    hit = 0
+    for y in fs.bits(bad):
+        hit |= s.closure_masks()[y]
+    hit &= d
+    return r0, (hit & -hit).bit_length() - 1
+
+
+def packed_why_not(s, d, r_min):
+    fail = packed_failure(s, d, r_min)
+    if fail is None:
+        return None
+    r, where = fail
+    if r is None:
+        return f"not closed: missing cells {fs.members(where)}"
+    return f"fails containment in int(expand) at threshold {r} (cell {where})"
+
+
+def seeded_masks(s, count, seed):
+    """Raw cell masks, closed or not, drawn uniformly from the space's subsets."""
+    rng = random.Random(seed)
+    return [rng.getrandbits(s.n) for _ in range(count)]
+
+
+def parent_random_closed_sets(s, count, seed):
+    """random_closed_sets as it was before the offset masks: one full-width
+    closure mask ORed per drawn cell."""
+    rng = random.Random(seed)
+    cl = s.closure_masks()
+    probs = [0.15, 0.3, 0.5, 0.7, 0.85]
+    out = []
+    for k in range(count):
+        p = probs[k % len(probs)]
+        c = 0
+        for x in [i for i in range(s.n) if rng.random() < p]:
+            c |= cl[x]  # cl[x] holds x itself
+        out.append(c)
+    return out
+
+
+class TestOffsetKernelMatchesPackedTable:
+    """The offset kernel gives the packed table's verdict and witness."""
+
+    def _same(self, s, pool, r_min):
+        for d in pool:
+            assert fs.why_not_definable(s, d, r_min) == packed_why_not(s, d, r_min), bin(d)
+
+    @pytest.mark.parametrize("build", [gate.discretize, gate.discretize_dagger],
+                             ids=["plain", "dagger"])
+    def test_saturated_candidates_n4(self, build):
+        dc = build(4)
+        pool = list(gate.saturated_candidates(dc))
+        for r_min in (dc.r_min, F(0)):
+            self._same(dc.space, pool, r_min)
+
+    def test_chain4_minimal_n8(self):
+        dc = cc.discretize(cc.build_minimal(oc.chain(4)), 8)
+        s = dc.space
+        pool = fs.random_closed_sets(s, 200, seed=1) + seeded_masks(s, 200, seed=2)
+        self._same(s, pool, dc.r_min)
+
+    def test_n5_full_n4(self):
+        # 52 soldered gate copies, 4,788 cells: the solder renumbers the
+        # merged terminals, so neighbourhoods span more than one copy's block
+        dc = cc.discretize(cc.build_full(oc.n5()), 4)
+        s = dc.space
+        pool = fs.random_closed_sets(s, 50, seed=3) + seeded_masks(s, 50, seed=4)
+        self._same(s, pool, dc.r_min)
+
+    def test_floor_cache(self):
+        dc = gate.discretize(4)
+        s = dc.space
+        pool = fs.random_closed_sets(s, 30, seed=6) + seeded_masks(s, 30, seed=7)
+        pool += list(gate.saturated_candidates(dc))[::50]
+        # equal floors as distinct objects, interleaved with another floor
+        for r_min in (F(1, 2), F(0), F(2, 4), F(0, 7), F(1, 2)):
+            self._same(s, pool, r_min)
+        with pytest.raises(ValueError, match="r_min must be nonnegative"):
+            fs.is_definable(s, pool[0], F(-1, 2))
+        with pytest.raises(ValueError, match="r_min must be nonnegative"):
+            fs.why_not_definable(s, pool[0], F(-1, 2))
+        # a floor at the largest distance leaves no threshold: closedness only
+        assert fs.thresholds(s, F(1)) == []
+        self._same(s, pool, F(1))
+        self._same(s, pool, F(0))
+
+
+class TestMaskOutsideSpaceRefused:
+    @pytest.mark.parametrize("which", ["above", "negative", "above-and-inside"])
+    def test_both_functions(self, which):
+        s = gate.discretize(4).space
+        d = {"above": 1 << s.n, "negative": -1, "above-and-inside": 1 << s.n | 1}[which]
+        for check in (fs.is_definable, fs.why_not_definable):
+            with pytest.raises(ValueError, match=rf"0 <= mask < 2\*\*{s.n}"):
+                check(s, d, F(1, 2))
+
+
+class TestRandomClosedSets:
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gate.discretize(8), lambda: cc.discretize(cc.build_full(oc.chain(4)), 4)],
+        ids=["gate", "soldered"],
+    )
+    def test_same_sets_as_cell_by_cell_closure(self, build, seed):
+        s = build().space
+        got = fs.random_closed_sets(s, 25, seed)
+        assert got == parent_random_closed_sets(s, 25, seed)
+        assert all(fs.is_closed(s, d) for d in got)
 
 
 def all_pairs_validate(s):
