@@ -37,8 +37,15 @@ each with and without `--max-candidates 10`.  They also run
   exercise `is_definable` on sets of every size, at the default floor and
   at 0,
 - `tower --kind forward|reverse|exact-pair --n 1|3|6`, each with and without
-  `--limit`, and `--n 50|200 --limit`, the sizes the benchmark's
-  `truncation` workload runs,
+  `--limit`, and `--n 50|200 --limit`, plus `--kind forward|exact-pair
+  --n 400 --limit` and `--kind reverse --n 75|100 --limit`: every size the
+  benchmark's `truncation` workload runs,
+- `verify-lattice --presentation full` on the lattices of 6 to 16 elements
+  that the benchmark's `lattice` workload draws from seed 1,
+- `y0 --k 1` to `--k 6` on the meet-semilattices that the `truncation`
+  workload draws from seed 1, and `y0 --k 4` on B3 without its top, where
+  both trees report 9 assignments against 8 truncated filters and exit 1
+  (ROADMAP, Known defects),
 - `export-dot hasse|circuit` on every lattice of at least two elements; both
   trees write to the same `-o` path, and the written file's bytes count as
   part of the report.
@@ -62,6 +69,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
+import jobs  # noqa: E402  (perfbench/jobs.py)
 
 MALFORMED = {
     "cycle2": {"elements": ["x", "y"], "covers": [["x", "y"], ["y", "x"]]},
@@ -69,6 +77,13 @@ MALFORMED = {
     "duplicate": {"elements": ["x", "y", "x"], "covers": [["x", "y"]]},
     "unknown": {"elements": ["x"], "covers": [["x", "z"]]},
     "meetless": {"elements": ["x", "y", "1"], "covers": [["x", "1"], ["y", "1"]]},
+}
+
+# B3 without its top, on which `y0 --k 4` gives the wrong verdict
+B3_WITNESS = {
+    "elements": ["0", "ab", "ac", "bc", "a", "b", "c"],
+    "covers": [["0", "a"], ["0", "b"], ["0", "c"], ["a", "ab"], ["a", "ac"],
+               ["b", "ab"], ["b", "bc"], ["c", "ac"], ["c", "bc"]],
 }
 
 COMMANDS = [
@@ -135,6 +150,19 @@ def main() -> int:
                     runs.append(["tower", "--kind", kind, "--n", str(n), *extra])
             for n in (50, 200):
                 runs.append(["tower", "--kind", kind, "--n", str(n), "--limit"])
+        for kind, n in (("forward", 400), ("exact-pair", 400), ("reverse", 75), ("reverse", 100)):
+            runs.append(["tower", "--kind", kind, "--n", str(n), "--limit"])
+        bench = Path(tmp) / "bench"
+        for workload, seed in (("lattice", 1), ("truncation", 1)):
+            inp = jobs.generate_inputs(workload, seed, bench / workload)
+            for name, path in inp.files.items():
+                if name.startswith("lat"):
+                    runs.append(["verify-lattice", path, "--presentation", "full"])
+                elif name.startswith("msl"):
+                    runs += [["y0", path, "--k", str(k)] for k in range(1, 7)]
+        b3 = Path(tmp) / "b3_witness.json"
+        b3.write_text(json.dumps(B3_WITNESS), encoding="utf-8")
+        runs.append(["y0", str(b3), "--k", "4"])
         for variant in ("plain", "dagger"):
             for n in (16, 32):
                 runs.append(["gate-oracle", "--variant", variant, "--n", str(n)])

@@ -1,21 +1,24 @@
 """Gate circuits over lattices and their definable-set assignments.
 
 A circuit is a list of named nodes plus AND-gate triples (in1, in2, out).
-Membership assignments (1 = node lies in the definable set) must avoid the
-one forbidden local pattern: both inputs out, output in.  Equivalently the
-complement sets are closed under the Horn rules off(in1) & off(in2) =>
-off(out), which is what every enumeration here works with.
+An assignment is an int membership mask: bit i is set when node i lies in
+the definable set.  Assignments must avoid the one forbidden local pattern:
+both inputs out, output in.  Equivalently the complement sets are closed
+under the Horn rules off(in1) & off(in2) => off(out), which is what every
+enumeration here works with.  Lists of assignments come in the
+lexicographic order of their 0/1 tuples read from node 0, and witnesses
+print an assignment as that tuple (``spell``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import finspace
 from . import gate as gate_mod
-from .finspace import BudgetExceeded
+from .finspace import BudgetExceeded, bits
 from .order_core import FiniteLattice, MeetSemilattice, closed_sets, filters, horn_closure
 
 
@@ -26,42 +29,34 @@ class Circuit:
     origin: tuple | None = None
 
     def __post_init__(self):
-        if len(set(self.nodes)) != len(self.nodes):
+        if len(set(self.nodes)) != self.n:
             raise ValueError("node labels must be unique")
-        for g in self.gates:
-            if any(not 0 <= i < len(self.nodes) for i in g):
-                raise ValueError(f"gate {g} references an unknown node")
+        used = set(chain.from_iterable(self.gates))
+        if used and not (0 <= min(used) and max(used) < self.n):
+            bad = next(g for g in self.gates if min(g) < 0 or max(g) >= self.n)
+            raise ValueError(f"gate {bad} references an unknown node")
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
 
-Assignment = tuple  # 0/1 membership per node index
+def spell(a: int, n: int) -> tuple[int, ...]:
+    """The assignment ``a`` of an ``n``-node circuit as its 0/1 tuple."""
+    return tuple(a >> i & 1 for i in range(n))
 
 
-def satisfies(gates, a: Assignment) -> bool:
-    """Whether ``a`` obeys every gate triple (i, j, k): x_i, x_j off => x_k off."""
-    return all(
-        not (a[i] == 0 and a[j] == 0 and a[k] == 1) for i, j, k in gates
-    )
-
-
-def definable_assignments(c: Circuit) -> list[Assignment]:
-    """All node membership maps satisfying every gate, canonically ordered.
+def definable_assignments(c: Circuit) -> list[int]:
+    """All node membership masks satisfying every gate, canonically ordered.
 
     Off-sets (complements) are exactly the rule-closed subsets, so they come
-    from a closure-system enumeration rather than a 2^nodes scan.
+    from a closure-system enumeration rather than a 2^nodes scan.  Its lectic
+    order ascends in the off-set read with node 0 as the high bit, so the
+    complements of the reversed list are in tuple order without a sort.
     """
     full = (1 << c.n) - 1
     close = horn_closure(c.n, [(i, j, 1 << k) for i, j, k in c.gates])
-    offs = closed_sets(c.n, close)
-    assignments = []
-    for off in offs:
-        mem = full & ~off
-        assignments.append(tuple(1 if mem >> i & 1 else 0 for i in range(c.n)))
-    assignments.sort()
-    return assignments
+    return [full ^ off for off in reversed(closed_sets(c.n, close))]
 
 
 # ---------------------------------------------------------------------------
@@ -71,21 +66,22 @@ def definable_assignments(c: Circuit) -> list[Assignment]:
 def qualifying_triples(l: FiniteLattice) -> list[tuple[int, int, int]]:
     """Ordered triples (a, b, c) of non-top elements with a ^ b <= c."""
     lm = l.nontop()
-    return [
-        (a, b, c)
-        for a in lm
-        for b in lm
-        for c in lm
-        if l.leq(l.meet[a][b], c)
-    ]
+    nontop = ((1 << l.n) - 1) ^ (1 << l.top)
+    above = [list(bits(up & nontop)) for up in l.poset.up]
+    return [(a, b, c) for a in lm for b in lm for c in above[l.meet[a][b]]]
 
 
 def _node_labels(l: FiniteLattice) -> tuple[str, ...]:
     return tuple(f"x_{l.elements[a]}" for a in l.nontop())
 
 
+def _node_mask(l: FiniteLattice, mask: int) -> int:
+    """An element bitmask without the top, as node positions."""
+    return mask & (1 << l.top) - 1 | mask >> l.top + 1 << l.top
+
+
 def _reindex(l: FiniteLattice, triples) -> tuple[tuple[int, int, int], ...]:
-    pos = {a: i for i, a in enumerate(l.nontop())}
+    pos = [a - (a > l.top) for a in range(l.n)]
     return tuple((pos[a], pos[b], pos[c]) for a, b, c in triples)
 
 
@@ -109,11 +105,9 @@ def _first_gap(l: FiniteLattice, triples) -> int | None:
     close = horn_closure(
         len(lm), [(pos[a], pos[b], 1 << pos[c]) for a, b, c in triples]
     )
-    low = (1 << l.top) - 1
     for i, a in enumerate(lm):
         for j in range(i, len(lm)):
-            up = l.poset.up[l.meet[a][lm[j]]]
-            need = up & low | up >> l.top + 1 << l.top  # as node positions
+            need = _node_mask(l, l.poset.up[l.meet[a][lm[j]]])
             got = close(1 << i | 1 << j)
             if need & ~got:
                 return got
@@ -205,13 +199,12 @@ def smaller_adequate_exists(l: FiniteLattice, size: int) -> bool:
 class IsoResult:
     ok: bool
     witness: str | None
-    assignments: tuple[Assignment, ...]  # the circuit's, canonically ordered
+    assignments: tuple[int, ...]  # the circuit's, canonically ordered
 
 
-def lattice_assignment(l: FiniteLattice, a: int) -> Assignment:
+def lattice_assignment(l: FiniteLattice, a: int) -> int:
     """The assignment of D_a: node x_b is outside exactly when b >= a."""
-    lm = l.nontop()
-    return tuple(0 if l.leq(a, b) else 1 for b in lm)
+    return (1 << l.n - 1) - 1 & ~_node_mask(l, l.poset.up[a])
 
 
 def verify_iso(l: FiniteLattice, c: Circuit) -> IsoResult:
@@ -225,28 +218,28 @@ def verify_iso(l: FiniteLattice, c: Circuit) -> IsoResult:
     def fail(witness: str) -> IsoResult:
         return IsoResult(False, witness, got)
 
-    mapping = {a: lattice_assignment(l, a) for a in range(l.n)}
-    values = set(mapping.values())
+    width = l.n - 1
+    mapping = [lattice_assignment(l, a) for a in range(l.n)]
+    values = set(mapping)
     if len(values) != l.n:
         return fail("a -> D_a is not injective")
     got_set = set(got)
-    for a, asg in mapping.items():
-        if asg not in got_set:
-            return fail(f"D_{l.elements[a]} = {asg} is not an assignment")
-    extra = [a for a in got if a not in values]
-    if extra:
-        return fail(f"extra assignment {extra[0]} matches no lattice element")
+    for a, asg in enumerate(mapping):
+        # a mask has no width: D_a is no assignment of a wrong-sized circuit
+        if c.n != width or asg not in got_set:
+            return fail(f"D_{l.elements[a]} = {spell(asg, width)} is not an assignment")
+    extra = next((a for a in got if a not in values), None)
+    if extra is not None:
+        return fail(f"extra assignment {spell(extra, c.n)} matches no lattice element")
     for a in range(l.n):
         for b in range(l.n):
-            j = l.join[a][b]
-            pointwise = tuple(max(x, y) for x, y in zip(mapping[a], mapping[b]))
-            if mapping[j] != pointwise:
+            if mapping[l.join[a][b]] != mapping[a] | mapping[b]:
                 return fail(
                     f"join not preserved on ({l.elements[a]}, {l.elements[b]})"
                 )
-    if mapping[l.bottom] != tuple([0] * c.n):
+    if mapping[l.bottom] != 0:
         return fail("bottom does not map to the empty set")
-    if mapping[l.top] != tuple([1] * c.n):
+    if mapping[l.top] != (1 << c.n) - 1:
         return fail("top does not map to the whole space")
     return IsoResult(True, None, got)
 
@@ -275,11 +268,11 @@ SPOT_PROBES = 20
 SPOT_SEED = 0
 
 
-def glue(c: Circuit, patterns, budget: int) -> list[tuple[Assignment, int]]:
+def glue(c: Circuit, patterns, budget: int) -> list[tuple[int, int]]:
     """Node assignments whose every gate (i, j, k) shows a pattern
-    (x_i, x_j, x_k) among the plain gate's ``patterns``, ascending, each with
-    its number of glued sets: the product over gates of the plain gate's
-    definable sets with that pattern.
+    (x_i, x_j, x_k) among the plain gate's ``patterns``, in tuple order,
+    each with its number of glued sets: the product over gates of the plain
+    gate's definable sets with that pattern.
 
     A gate that names a node twice reads that node's membership at both
     terminals, so it only ever sees patterns that agree on its soldered
@@ -293,7 +286,7 @@ def glue(c: Circuit, patterns, budget: int) -> list[tuple[Assignment, int]]:
     for p in patterns:
         counts[p] = counts.get(p, 0) + 1
     if not c.n:
-        return [((), 1)]
+        return [(0, 1)]
     closing = [[] for _ in range(c.n)]
     for g in c.gates:
         closing[max(g)].append(g)
@@ -319,7 +312,7 @@ def glue(c: Circuit, patterns, budget: int) -> list[tuple[Assignment, int]]:
         if not w:
             continue
         if v == c.n - 1:
-            out.append((tuple(x), w))
+            out.append((sum(b << i for i, b in enumerate(x)), w))
         else:
             ways[v + 1] = w
             v += 1
@@ -354,7 +347,7 @@ def check_factorization(dc, one_gate, r_min: Fraction) -> None:
 
 @dataclass(frozen=True)
 class CircuitOracle:
-    patterns: tuple[Assignment, ...]  # ascending, one per glued node assignment
+    patterns: tuple[int, ...]  # in tuple order, one per glued node assignment
     definables: int  # glued sets: one definable set chosen per gate copy
     refuted: tuple[int, ...]  # complex cell sets on which full is_definable disagrees
 
@@ -418,9 +411,9 @@ def oracle(c: Circuit, n: int, budget: int) -> CircuitOracle:
     refuted = []
     sets = set()
     for a in patterns:
-        partial = [sum(1 << cell for i, cell in free if a[i])]
-        for g, by_pattern in lifted:
-            options = by_pattern[tuple(a[i] for i in g)]
+        partial = [sum(1 << cell for i, cell in free if a >> i & 1)]
+        for (i, j, k), by_pattern in lifted:
+            options = by_pattern[a >> i & 1, a >> j & 1, a >> k & 1]
             partial = [m | o for m in partial for o in options]
         for d in partial:
             sets.add(d)
@@ -457,18 +450,17 @@ def build_Y0(m: MeetSemilattice, enumeration, k: int) -> Circuit:
     return Circuit(nodes, tuple(gates), ("Y0", m, enumeration, k))
 
 
-def truncated_filters(m: MeetSemilattice, enumeration, k: int) -> set:
-    """Images of all filters (empty included) under restriction to the rails."""
-    enumeration = tuple(enumeration)
-    out = set()
-    for f in filters(m, include_empty=True):
-        out.add(frozenset(i for i in range(k) if enumeration[i] in f))
-    return out
-
-
-def y0_assignment_offsets(c: Circuit) -> set:
-    """Off-sets (rail indices outside the definable set) of the assignments."""
+def truncated_filters(m: MeetSemilattice, enumeration, k: int) -> set[int]:
+    """Images of all filters (empty included) under restriction to the rails,
+    as rail masks."""
+    rails = tuple(enumeration)[:k]
     return {
-        frozenset(i for i in range(c.n) if a[i] == 0)
-        for a in definable_assignments(c)
+        sum(1 << i for i, e in enumerate(rails) if e in f)
+        for f in filters(m, include_empty=True)
     }
+
+
+def y0_assignment_offsets(c: Circuit) -> set[int]:
+    """Off-set masks (rails outside the definable set) of the assignments."""
+    full = (1 << c.n) - 1
+    return {full ^ a for a in definable_assignments(c)}

@@ -81,7 +81,7 @@ def cmd_verify_lattice(args):
                 f"--oracle {args.oracle} leaves no distance threshold above "
                 f"r_min = {exc.r_min}; use --oracle 3 or more"
             ) from exc
-        symbolic = {tuple(a) for a in assignments}
+        symbolic = set(assignments)
         agree = (
             not res.refuted
             and set(res.patterns) == symbolic

@@ -239,32 +239,46 @@ class LimitFamily:
         return meet, lbs, meet is not None
 
 
-def restrict(d: LimitSet, n: int) -> tuple:
+def _obeys_gates(kind: TowerKind, n: int, mem: int) -> bool:
+    """Whether membership mask ``mem`` obeys the n-stage truncation's gates:
+    one shift tests the n chain gates (i, i, i ± 1), and the exact pair's
+    gadget gates hold exactly when x_n is in iff side node a or b is."""
+    gates = (1 << n) - 1  # chain gate i at bit i
+    if kind is TowerKind.REVERSE_CHAIN:
+        return not mem & ~(mem >> 1) & gates
+    if mem >> 1 & ~mem & gates:
+        return False
+    return kind is TowerKind.FORWARD_CHAIN or mem >> n & 1 == (mem >> n + 1 | mem >> n + 2) & 1
+
+
+def restrict(d: LimitSet, n: int) -> int:
     """The truncation of a limit set to the n-stage circuit, checked.
 
     A constant set holds all n + 1 chain nodes or none.  A breakpoint beta
     holds nodes 0..min(beta, n) on forward and exact-pair chains, and on
     reverse chains the mirror image, nodes beta+1..n.  The exact pair's top
     node stands in for the whole-chain limit point (the gadget hangs off it),
-    so only sets containing the full chain occupy it.  The result is
-    validated against the truncation's gate constraints.
+    so only sets containing the full chain occupy it.  The result is a
+    membership mask, validated against the truncation's gate constraints.
     """
     if n < 1:
         raise ValueError("truncation level must be >= 1")
     kind = d.kind
+    chain = (1 << n + 1) - 1
     if d.beta is None:
-        mem = [int(d.tail == FULL)] * (n + 1)
+        mem = chain if d.tail == FULL else 0
     else:
-        k = min(d.beta + 1, n + 1)  # nodes 0..beta, cut at the truncation
-        low, high = (0, 1) if kind is TowerKind.REVERSE_CHAIN else (1, 0)
-        mem = [low] * k + [high] * (n + 1 - k)
+        low = (1 << min(d.beta + 1, n + 1)) - 1  # nodes 0..beta, cut at the truncation
+        mem = chain ^ low if kind is TowerKind.REVERSE_CHAIN else low
     if kind is TowerKind.EXACT_PAIR:
-        mem[n] = int(d.tail == FULL)
-        mem += d.gadget
-    asg = tuple(mem)
-    if not circuit_mod.satisfies(_gates(kind, n), asg):
-        raise AssertionError(f"restriction {asg} violates the truncation gates")
-    return asg
+        whole = d.tail == FULL
+        mem = mem & ~(1 << n) | whole << n | d.gadget[0] << n + 1 | d.gadget[1] << n + 2
+    if not _obeys_gates(kind, n, mem):
+        width = n + 3 if kind is TowerKind.EXACT_PAIR else n + 1
+        raise AssertionError(
+            f"restriction {circuit_mod.spell(mem, width)} violates the truncation gates"
+        )
+    return mem
 
 
 # ---------------------------------------------------------------------------
@@ -568,16 +582,16 @@ def solder_Y_truncation(m: MeetSemilattice, enumeration, k: int) -> YTruncation:
 @dataclass(frozen=True)
 class ShortCircuitReport:
     ok: bool
-    offending: tuple | None  # (assignment, side node index) if any
+    offending: tuple | None  # (assignment as a tuple, side node index) if any
 
 
 def verify_short_circuit(yt: YTruncation) -> ShortCircuitReport:
-    """Every nonempty definable assignment must fill both side copies."""
-    side_nodes = yt.copy_nodes(1) | yt.copy_nodes(2)
+    """Every nonempty definable assignment must fill both side copies; the
+    first one that does not is reported with its lowest side node left out."""
+    side = sum(1 << node for node in yt.copy_nodes(1) | yt.copy_nodes(2))
     for a in definable_assignments(yt.circuit):
-        if all(x == 0 for x in a):
-            continue
-        for node in side_nodes:
-            if a[node] == 0:
-                return ShortCircuitReport(False, (a, node))
+        missing = side & ~a
+        if a and missing:
+            node = (missing & -missing).bit_length() - 1
+            return ShortCircuitReport(False, (circuit_mod.spell(a, yt.circuit.n), node))
     return ShortCircuitReport(True, None)

@@ -21,13 +21,15 @@ def brute_assignments(c):
     return sorted(out)
 
 
+def spelled(c):
+    """The circuit's definable assignments, each spelled as its 0/1 tuple."""
+    return [cc.spell(a, c.n) for a in cc.definable_assignments(c)]
+
+
 def assignment_lattice(c):
     """The circuit's definable assignments ordered by inclusion."""
     asgs = cc.definable_assignments(c)
-    return oc.inclusion_lattice(
-        ["".join(map(str, a)) for a in asgs],
-        [sum(x << k for k, x in enumerate(a)) for a in asgs],
-    )
+    return oc.inclusion_lattice(["".join(map(str, cc.spell(a, c.n))) for a in asgs], asgs)
 
 
 def count_triples(lat):
@@ -39,6 +41,16 @@ def count_triples(lat):
         for c in lm
         if lat.leq(lat.meet[a][b], c)
     )
+
+
+class TestCircuit:
+    @pytest.mark.parametrize(
+        "gates,bad", [(((0, 1, 2), (0, -1, 1)), "(0, 1, 2)"), (((0, -1, 1), (0, 1, 2)), "(0, -1, 1)")]
+    )
+    def test_first_bad_gate_named(self, gates, bad):
+        with pytest.raises(ValueError) as exc:
+            cc.Circuit(("a", "b"), gates)
+        assert str(exc.value) == f"gate {bad} references an unknown node"
 
 
 class TestBuildFull:
@@ -171,9 +183,15 @@ class TestDefinableAssignments:
     )
     def test_counts(self, lat, count):
         c = cc.build_full(lat)
-        got = cc.definable_assignments(c)
+        got = spelled(c)
         assert got == brute_assignments(c)
         assert len(got) == count
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_full_presentations_match_brute_force(self, k):
+        for lat in oc.all_lattices_up_to_iso(k):
+            c = cc.build_full(lat)
+            assert spelled(c) == brute_assignments(c)
 
     @pytest.mark.parametrize("lat", [oc.chain(2), oc.chain(4), oc.n5(), oc.m3()])
     def test_off_sets_biject_with_filters(self, lat):
@@ -181,7 +199,7 @@ class TestDefinableAssignments:
         c = cc.build_full(lat)
         lm = lat.nontop()
         off_sets = {
-            frozenset(lm[i] for i in range(c.n) if a[i] == 0) | {lat.top}
+            frozenset(lm[i] for i in range(c.n) if not a >> i & 1) | {lat.top}
             for a in cc.definable_assignments(c)
         }
         assert off_sets == set(oc.filters(m))
@@ -212,7 +230,7 @@ class TestSemilattice:
         asgs = set(cc.definable_assignments(cc.build_full(oc.m3())))
         for a in asgs:
             for b in asgs:
-                assert tuple(max(x, y) for x, y in zip(a, b)) in asgs
+                assert a | b in asgs
 
 
 class TestVerifyIso:
@@ -231,7 +249,23 @@ class TestVerifyIso:
         bare = cc.Circuit(("x0", "x1"), ())
         res = cc.verify_iso(lat, bare)
         assert not res.ok
-        assert "extra assignment" in res.witness
+        assert res.witness == "extra assignment (0, 1) matches no lattice element"
+
+    @pytest.mark.parametrize(
+        "lat,c,witness",
+        [
+            # a mask does not say how many nodes it spans: D_c0 is 0 for
+            # every circuit, and still no assignment of a wrong-sized one
+            (oc.chain(3), cc.Circuit(("x0", "x1", "x2"), ()),
+             "D_c0 = (0, 0) is not an assignment"),
+            (oc.chain(3), cc.Circuit(("x0",), ()), "D_c0 = (0, 0) is not an assignment"),
+            (oc.n5(), cc.Circuit(tuple("abcd"), ((0, 1, 2),)),
+             "extra assignment (0, 0, 0, 1) matches no lattice element"),
+        ],
+    )
+    def test_witness_spells_assignments_as_tuples(self, lat, c, witness):
+        res = cc.verify_iso(lat, c)
+        assert not res.ok and res.witness == witness
 
 
 class TestDiscretize:
@@ -247,7 +281,7 @@ class TestDiscretize:
         dc = cc.discretize(c, 8)
         res = gate.oracle(dc)
         assert len(res.definable) == 3
-        assert res.pattern_set == set(cc.definable_assignments(c))
+        assert res.pattern_set == set(spelled(c))
 
     def test_gateless_circuit_rejected(self):
         with pytest.raises(ValueError):
@@ -258,11 +292,11 @@ class TestDiscretize:
         two = cc.Circuit(("p", "q", "r", "s", "t"), ((0, 1, 2), (2, 3, 4)))
         dc = cc.discretize(two, 3)
         res = gate.oracle(dc, budget=1 << 24)
-        symbolic = set(cc.definable_assignments(two))
+        symbolic = set(spelled(two))
         assert res.pattern_set == symbolic
         assert len(res.definable) == len(symbolic) == 24
         glued = cc.oracle(two, 3, 1 << 20)
-        assert glued.patterns == tuple(sorted(res.pattern_set))
+        assert [cc.spell(a, 5) for a in glued.patterns] == sorted(res.pattern_set)
         assert glued.definables == 24 and glued.refuted == ()
 
     def test_budget_guard(self):
@@ -343,11 +377,11 @@ class TestFactorizedOracle:
     def test_glue_free_nodes_and_empty_circuit(self, patterns_n4):
         c = cc.Circuit(("p", "q", "r"), ((0, 0, 1),))
         glued = cc.glue(c, patterns_n4, 1 << 20)
-        assert [a for a, _ in glued] == brute_assignments(c)
+        assert [cc.spell(a, 3) for a, _ in glued] == brute_assignments(c)
         assert len(glued) == 6
         gateless = cc.glue(cc.Circuit(("x", "y"), ()), (), 1 << 20)
-        assert [a for a, _ in gateless] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert cc.glue(cc.Circuit((), ()), (), 1 << 20) == [((), 1)]
+        assert [a for a, _ in gateless] == [0b00, 0b10, 0b01, 0b11]  # x is bit 0
+        assert cc.glue(cc.Circuit((), ()), (), 1 << 20) == [(0, 1)]
 
     def test_glue_budget(self, patterns_n4):
         c = cc.build_full(oc.n5())
@@ -356,12 +390,12 @@ class TestFactorizedOracle:
 
     def test_gateless_circuit_needs_no_complex(self):
         res = cc.oracle(cc.build_minimal(oc.chain(2)), 4, 1 << 20)
-        assert res == cc.CircuitOracle(((0,), (1,)), 2, ())
+        assert res == cc.CircuitOracle((0, 1), 2, ())
 
     def test_free_node_beside_gates(self):
         c = cc.Circuit(("p", "q", "r", "z"), ((0, 1, 2),))
         res = cc.oracle(c, 3, 1 << 20)
-        assert res.patterns == tuple(brute_assignments(c))
+        assert [cc.spell(a, 4) for a in res.patterns] == brute_assignments(c)
         assert res.definables == 14 and res.refuted == ()
 
     def test_no_threshold(self):
@@ -397,7 +431,7 @@ class TestFactorizedOracle:
         c = cc.Circuit(("p", "q", "r"), gates)
         brute = gate.oracle(cc.discretize(c, 3), budget=1 << 24)
         res = cc.oracle(c, 3, 1 << 20)
-        assert res.patterns == tuple(sorted(brute.pattern_set))
+        assert [cc.spell(a, 3) for a in res.patterns] == sorted(brute.pattern_set)
         assert res.definables == len(brute.definable)
         assert res.refuted == ()
         assert set(res.patterns) == set(cc.definable_assignments(c))
@@ -490,26 +524,27 @@ class TestBuildY0:
         c = cc.build_Y0(m, enumeration, k)
 
         def assignment_of(f):
-            return tuple(0 if enumeration[i] in f else 1 for i in range(k))
+            return sum(1 << i for i in range(k) if enumeration[i] not in f)
 
         fls = oc.filters(m, include_empty=True)
         for f in fls:
             for g in fls:
                 if f <= g:
                     af, ag = assignment_of(f), assignment_of(g)
-                    assert all(x >= y for x, y in zip(af, ag))
+                    assert ag & ~af == 0
         asgs = set(cc.definable_assignments(c))
         for f in fls:
             assert assignment_of(f) in asgs
         for a in asgs:
             for b in asgs:
-                assert tuple(max(x, y) for x, y in zip(a, b)) in asgs
+                assert a | b in asgs
 
 
 @st.composite
 def random_circuits(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    n_gates = draw(st.integers(min_value=0, max_value=8))
+    # gates may repeat a node: in1 = in2 makes a one-premise rule
+    n = draw(st.integers(min_value=1, max_value=10))
+    n_gates = draw(st.integers(min_value=0, max_value=12))
     gates = tuple(
         (
             draw(st.integers(0, n - 1)),
@@ -524,7 +559,7 @@ def random_circuits(draw):
 @settings(max_examples=80, deadline=None)
 @given(random_circuits())
 def test_closure_enumeration_matches_brute_force(c):
-    assert cc.definable_assignments(c) == brute_assignments(c)
+    assert spelled(c) == brute_assignments(c)
 
 
 @settings(max_examples=80, deadline=None)
@@ -533,4 +568,4 @@ def test_assignments_closed_under_pointwise_max(c):
     asgs = set(cc.definable_assignments(c))
     for a in asgs:
         for b in asgs:
-            assert tuple(max(x, y) for x, y in zip(a, b)) in asgs
+            assert a | b in asgs
