@@ -23,8 +23,8 @@ trees also run
 
 - `gate-oracle --variant plain|dagger --n 2|3|4|8`, each with no extra flag,
   with `--r-min 1`, with `--r-min 1/4` and with `--probes 30 --seed 5`,
-- `gate-oracle --n 8 --r-min=-1/4`, a negative floor that `is_definable`
-  refuses,
+- `gate-oracle --n 8 --r-min=-1/4`, a negative floor that `thresholds`
+  refuses before the budget is charged,
 - `verify-lattice --oracle 2|3` on the two-element chain with both
   presentations,
 
@@ -51,7 +51,12 @@ each with and without `--max-candidates 10`.  They also run
   part of the report.
 
 Each report, error reports included, must be the same apart from
-`timing_ms`, with the same exit code.  Exits 1 if any report differs.
+`timing_ms`, with the same exit code.  Each tree also runs the brute-force
+scan `finspace.enumerate_definable(dc.space, dc.r_min,
+gate.saturated_candidates(dc))` (`python -c` under its `PYTHONPATH`) on the
+plain and dagger gates at each pitch N and on the one-gate complex with a
+free point z, and must find the same list of sets.  Exits 1 if any report or
+scan differs.
 """
 
 from __future__ import annotations
@@ -113,6 +118,28 @@ def run(src: str, argv: list[str]) -> tuple[int, dict, bytes | None]:
     report.pop("timing_ms", None)
     written = out.read_bytes() if out is not None and out.exists() else None
     return proc.returncode, report, written
+
+
+SCAN = """
+import json, sys
+from latcirc import finspace, gate
+cases = {f"{v} n={n}": (gate.discretize if v == "plain" else gate.discretize_dagger)(n)
+         for v in ("plain", "dagger") for n in map(int, sys.argv[1:])}
+cases["free-point n=3"] = gate.build_complex([("a", "b", "c")], 3, ("a", "b", "c", "z"))
+print(json.dumps({name: finspace.enumerate_definable(dc.space, dc.r_min,
+                                                     gate.saturated_candidates(dc))
+                  for name, dc in cases.items()}))
+"""
+
+
+def scan(src: str, pitches: list[int]) -> dict:
+    """The brute-force scan's sets per complex, as found by the tree at src."""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCAN, *map(str, pitches)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 def main() -> int:
@@ -195,7 +222,15 @@ def main() -> int:
                 print(f"{name}: DIFFERS\n  old {old}\n  new {new}")
     print(f"{len(runs)} reports, {len(runs) - differ} identical, {differ} differ; "
           "old exit codes " + ", ".join(f"{k}: {v}" for k, v in sorted(exits.items())))
-    return 1 if differ else 0
+    old_scan, new_scan = scan(args.old_src, args.n), scan(args.new_src, args.n)
+    unequal = 0
+    for name, found in old_scan.items():
+        if new_scan.get(name) == found:
+            print(f"brute-force scan {name}: equal ({len(found)} sets)")
+        else:
+            unequal += 1
+            print(f"brute-force scan {name}: DIFFERS\n  old {found}\n  new {new_scan.get(name)}")
+    return 1 if differ or unequal else 0
 
 
 if __name__ == "__main__":

@@ -36,6 +36,15 @@ few offsets (40 for one gate at every pitch, 6 to 7 per gate once soldered):
 a check costs O(offsets * n / 64) words however many cells d holds.  The
 closure and minimal-open masks are built with the view, the near block once
 per threshold r0.
+
+enumerate_definable judges its pool in packs: G = _PACK_BITS // stride slots
+of stride bits (3n rounded up to whole bytes) in one int, judged by one kernel
+pass over masks tiled into G slots once per call.  No bit crosses a slot: M_k
+holds only cells x with x + k in the same n-bit block, so (d3 & M_k) << k stays
+in its block, and acc >> n and acc >> 2n carry the next slot's bits only to
+offsets of at least stride - 2n >= n, which the tiled full mask drops.  A slot
+passes when its bytes of missing | bad are zero.  Single sets (is_definable,
+so gate.oracle, the probes and circuit.oracle) neither pack nor tile.
 """
 
 from __future__ import annotations
@@ -46,6 +55,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
+
+_PACK_BITS = 1 << 16  # bits of one pack of candidates in enumerate_definable
 
 
 class BudgetExceeded(RuntimeError):
@@ -341,6 +352,8 @@ def near_masks(s: DiscreteSpace, r: Fraction) -> tuple[int, ...]:
 
 
 def thresholds(s: DiscreteSpace, r_min: Fraction) -> list[Fraction]:
+    if r_min < 0:
+        raise ValueError("r_min must be nonnegative")
     vals = _view(s).values
     return [v for v in vals[bisect_right(vals, r_min):] if v <= 1]
 
@@ -356,14 +369,20 @@ def _failure(s: DiscreteSpace, d: int, r_min: Fraction):
     full = (1 << n) - 1
     if d == 0 or d == full:
         return None
-    acc = _spread(d | d << n | d << 2 * n, pairs)
-    missing = acc & full & ~d
+    missing, bad = _judge(d, pairs, n, full, r0)
     if missing:
         return None, missing
-    if r0 is None:
-        return None
-    bad = acc >> n & full & ~(d | acc >> 2 * n)
     return (r0, bad) if bad else None
+
+
+def _judge(d: int, pairs: tuple, n: int, full: int, r0) -> tuple[int, int]:
+    """The cells missing from cl(d) and those of U(d) outside d | N(d) (none
+    when r0 is None), slot by slot when d, the pairs and full are packs."""
+    acc = _spread(d | d << n | d << 2 * n, pairs)
+    missing = acc & full & ~d
+    if r0 is None:
+        return missing, 0
+    return missing, acc >> n & full & ~(d | acc >> 2 * n)
 
 
 def why_not_definable(s: DiscreteSpace, d: int, r_min: Fraction) -> str | None:
@@ -561,14 +580,40 @@ def enumerate_definable(
     """Members of the candidate family passing is_definable, ascending by mask.
 
     Draws at most budget + 1 candidates, so an over-long or unbounded
-    iterable raises BudgetExceeded without being read to its end.
+    iterable raises BudgetExceeded without being read to its end.  The floor
+    is checked first; the pool is judged in packs (see the module docstring).
     """
+    r0, pairs = _view(s).kernel(s, r_min)
     pool = list(islice(candidates, budget + 1))
     if len(pool) > budget:
         raise BudgetExceeded(f"candidates exceed the budget of {budget}")
-    out = [d for d in pool if is_definable(s, d, r_min)]
+    n = s.n
+    if pool and (min(pool) < 0 or max(pool) >> n):
+        raise ValueError(f"cell mask out of range: need 0 <= mask < 2**{n}")
+    size = (3 * n + 7) // 8 or 1  # bytes per slot; a 0-cell space still gets one
+    stride = 8 * size
+    g = max(1, min(_PACK_BITS // stride, len(pool)))  # slots per pack
+    full = _tile((1 << n) - 1, stride, g)
+    pairs = tuple((k, _tile(up, stride, g), _tile(down, stride, g)) for k, up, down in pairs)
+    zero = bytes(size)
+    out = []
+    for at in range(0, len(pool), g):
+        chunk = pool[at:at + g]
+        d = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in chunk), "little")
+        missing, bad = _judge(d, pairs, n, full, r0)
+        fail = (missing | bad).to_bytes(g * size, "little")
+        out += [c for i, c in enumerate(chunk) if fail[i * size:(i + 1) * size] == zero]
     out.sort()
     return out
+
+
+def _tile(m: int, stride: int, g: int) -> int:
+    """m repeated in g slots of stride bits, by doubling shifts."""
+    out, have = m, 1
+    while have < g:
+        out |= out << have * stride
+        have *= 2
+    return out & ((1 << g * stride) - 1)
 
 
 def random_closed_sets(s: DiscreteSpace, count: int, seed: int) -> list[int]:

@@ -392,8 +392,8 @@ def oracle(
     """Saturated-family search for definable sets, pruned edge subset by
     edge subset.
 
-    Raises NoThreshold, before the budget is charged, when the floor leaves
-    no threshold, since then every closed set would pass.
+    Refuses the floor before the budget is charged: ValueError when it is
+    negative, NoThreshold when it leaves no threshold (every closed set passes).
 
     finspace's test U(d) & ~(d | N(d)) == 0 at the binding threshold r0 is
     necessary, and U (the union of minimal opens) and N (the cells within r0)

@@ -225,6 +225,10 @@ class TestGateOracle:
         code, rep = run(capsys, "--max-candidates", "10", "gate-oracle", "--n", "2")
         assert code == 2 and "--r-min" in rep["error"]
 
+    def test_negative_floor_refused_before_budget(self, capsys):
+        code, rep = run(capsys, "--max-candidates", "10", "gate-oracle", "--n", "8", "--r-min=-1/4")
+        assert code == 2 and rep["error"] == "r_min must be nonnegative"
+
     def test_n2_with_smaller_floor(self, capsys):
         code, rep = run(capsys, "gate-oracle", "--n", "2", "--r-min", "1/4")
         assert code == 0 and rep["results"]["definables"] == 7

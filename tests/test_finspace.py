@@ -376,6 +376,17 @@ class TestMaskOutsideSpaceRefused:
             with pytest.raises(ValueError, match=rf"0 <= mask < 2\*\*{s.n}"):
                 check(s, d, F(1, 2))
 
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    @pytest.mark.parametrize("which", ["above", "negative"])
+    def test_refused_from_a_pool(self, which, at):
+        dc = gate.discretize(4)
+        s = dc.space
+        pool = list(gate.saturated_candidates(dc))
+        d = {"above": 1 << s.n, "negative": -1}[which]
+        pool.insert({"first": 0, "middle": len(pool) // 2, "last": len(pool)}[at], d)
+        with pytest.raises(ValueError, match=rf"0 <= mask < 2\*\*{s.n}"):
+            fs.enumerate_definable(s, dc.r_min, pool)
+
 
 class TestRandomClosedSets:
     @pytest.mark.parametrize("seed", [0, 5, 11])
@@ -655,9 +666,107 @@ class TestEnumerateDefinable:
         with pytest.raises(fs.BudgetExceeded, match="budget"):
             fs.enumerate_definable(s, F(0), range(1 << s.n), budget=16)
 
+    def test_negative_floor_refused_before_any_work(self):
+        s = gate.discretize(4).space
+        with pytest.raises(ValueError, match="r_min must be nonnegative"):
+            fs.thresholds(s, F(-1, 4))
+        for pool in ([], range(1 << 20)):
+            with pytest.raises(ValueError, match="r_min must be nonnegative"):
+                fs.enumerate_definable(s, F(-1, 2), pool, budget=16)
+
     def test_budget_stops_unbounded_iterable(self):
         with pytest.raises(fs.BudgetExceeded, match="budget of 16"):
             fs.enumerate_definable(fs.point_space(), F(0), itertools.count(), budget=16)
+
+
+def one_at_a_time(s, pool, r):
+    """enumerate_definable's judging before packs, kept as the reference."""
+    return sorted([d for d in pool if fs.is_definable(s, d, r)])
+
+
+def gate_case(dc):
+    """The space, its default floor, and its definable and saturated sets."""
+    known = list(gate.oracle(dc).definable) * 4 + list(gate.saturated_candidates(dc))[::37]
+    return dc.space, dc.r_min, known
+
+
+def chain4_case():
+    """The chain4 minimal complex with the plain gate's definable sets placed
+    in each gate copy, alone and in every copy at once."""
+    dc = cc.discretize(cc.build_minimal(oc.chain(4)), 4)
+    one = gate.discretize(4)
+    known = []
+    for d in gate.oracle(one).definable:
+        local = [i for i, cell in enumerate(one.copies[0]) if d >> cell & 1]
+        known += [fs.cellset(cop[i] for i in local) for cop in dc.copies]
+        known.append(fs.cellset(cop[i] for cop in dc.copies for i in local))
+    return dc.space, dc.r_min, known
+
+
+def gate_pair_case():
+    dc = gate.discretize(3)
+    defs = gate.oracle(dc).definable
+    known = [d1 | d2 << dc.space.n for d1 in defs for d2 in defs]
+    return fs.coproduct(dc.space, dc.space), dc.r_min, known
+
+
+def w_case():
+    from test_tower import sliced_base
+
+    from latcirc import tower
+
+    return tower.build_W(sliced_base(), *tower.default_turn_functions(5)).space, F(1, 4), []
+
+
+PACKED_CASES = {
+    "plain3": lambda: gate_case(gate.discretize(3)),
+    "plain4": lambda: gate_case(gate.discretize(4)),
+    "plain8": lambda: gate_case(gate.discretize(8)),
+    "dagger3": lambda: gate_case(gate.discretize_dagger(3)),
+    "dagger4": lambda: gate_case(gate.discretize_dagger(4)),
+    "dagger8": lambda: gate_case(gate.discretize_dagger(8)),
+    "free-point": lambda: gate_case(
+        gate.build_complex([("a", "b", "c")], 3, ("a", "b", "c", "z"))
+    ),
+    "chain4-minimal": chain4_case,
+    "gate-pair": gate_pair_case,
+    "W": w_case,
+    "point": lambda: (fs.point_space(), F(1, 4), []),
+    "no-cells": lambda: (fs.coproduct(), F(1, 4), []),
+}
+
+
+def slots_per_pack(n):
+    """G: candidates in one pack, each in a slot of 3n bits rounded up to bytes."""
+    return max(1, fs._PACK_BITS // (8 * max(1, -(-3 * n // 8))))
+
+
+class TestPackedPools:
+    """enumerate_definable over packs against one is_definable call per set."""
+
+    @pytest.mark.parametrize("floor", ["default", "zero", "no-threshold"])
+    @pytest.mark.parametrize("name", list(PACKED_CASES))
+    def test_same_as_one_at_a_time(self, name, floor):
+        s, default, known = PACKED_CASES[name]()
+        r = {"default": default, "zero": F(0), "no-threshold": F(1)}[floor]
+        n = s.n
+        full = (1 << n) - 1
+        top = 1 << n - 1 if n else 0
+        masks = [0, full, 1 & full, top, top | 1 & full, fs.closure(s, top | 1 & full)]
+        masks += known + fs.random_closed_sets(s, 40, seed=n) + seeded_masks(s, 40, seed=n)
+        rng = random.Random(n)
+        g = slots_per_pack(n)
+        for size in (0, 1, g - 1, g, g + 1, 2 * g + 3):
+            pool = [rng.choice(masks) for _ in range(size)]
+            # the special masks at either end and across the first slot boundary
+            for at, d in zip((0, size - 1, g - 1, g), masks[:4]):
+                if 0 <= at < size:
+                    pool[at] = d
+            want = one_at_a_time(s, pool, r)
+            assert fs.enumerate_definable(s, r, iter(pool)) == want
+            if floor == "no-threshold":  # then definable means closed
+                assert fs.thresholds(s, r) == []
+                assert want == sorted(d for d in pool if fs.is_closed(s, d))
 
 
 class TestWireRule:

@@ -220,6 +220,10 @@ class TestOracle:
         with pytest.raises(gate.NoThreshold):
             gate.oracle(gate.discretize(4), F(1), budget=1)
 
+    def test_negative_floor_refused_before_budget(self):
+        with pytest.raises(ValueError, match="r_min must be nonnegative"):
+            gate.oracle(gate.discretize(8), F(-1, 4), budget=10)
+
     def test_budget_guard(self):
         # n = 4: at n = 2 the floor 2/2 leaves no threshold, refused first
         dg = gate.discretize(4)
