@@ -55,8 +55,22 @@ Each report, error reports included, must be the same apart from
 scan `finspace.enumerate_definable(dc.space, dc.r_min,
 gate.saturated_candidates(dc))` (`python -c` under its `PYTHONPATH`) on the
 plain and dagger gates at each pitch N and on the one-gate complex with a
-free point z, and must find the same list of sets.  Exits 1 if any report or
-scan differs.
+free point z, and must find the same list of sets.
+
+Last, each tree builds spaces and reports a digest of each field, which
+must be equal field by field:
+
+- `gate.build_complex` of one gate in each of the five shapes (terminals
+  all distinct, in1 = in2, in1 = out, in2 = out, all equal), with and
+  without a `terminal_order` that adds a free point, at n = 2, 3, 4, 5, 8,
+  16 and 32, and `circuit.discretize(circuit.build_full(l), 4)` for every
+  lattice of 2 to 6 elements: cells, `min_open`, `dist` with its insertion
+  order, slices, resolution, edges, vertices, terminals, terminal order,
+  reps, copies and n;
+- `tower.build_W` on two sliced bases drawn as the `truncation` workload
+  draws them: the space's fields as above, `copy_of` and `base_cell`.
+
+Exits 1 if any report, scan or field differs.
 """
 
 from __future__ import annotations
@@ -64,6 +78,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -130,6 +145,67 @@ print(json.dumps({name: finspace.enumerate_definable(dc.space, dc.r_min,
                                                      gate.saturated_candidates(dc))
                   for name, dc in cases.items()}))
 """
+
+
+BUILD = """
+import hashlib, json, sys
+from fractions import Fraction
+from latcirc import circuit, finspace, gate, order_core, tower
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+def space_fields(s):
+    return {"cells": digest(s.cells), "min_open": digest([hex(m) for m in s.min_open]),
+            "dist": digest(list(s.dist.items())), "slices": digest(s.slices),
+            "resolution": digest(s.resolution)}
+
+def complex_fields(dc):
+    out = space_fields(dc.space)
+    out.update({"edges": digest(dc.edges), "vertices": digest(dc.vertices),
+                "terminals": digest(list(dc.terminals.items())),
+                "terminal_order": digest(dc.terminal_order), "reps": digest(dc.reps),
+                "copies": digest(dc.copies), "n": digest(dc.n)})
+    return out
+
+sys.set_int_max_str_digits(0)
+shapes = {"plain": ("a", "b", "c"), "inputs": ("a", "a", "c"), "in1-out": ("a", "b", "a"),
+          "in2-out": ("a", "b", "b"), "all": ("a", "a", "a")}
+out = {}
+for n in (2, 3, 4, 5, 8, 16, 32):
+    for name, labels in shapes.items():
+        for order in (None, ("z", "a", "b", "c")):
+            dc = gate.build_complex([labels], n, order)
+            out[f"build_complex {name} n={n} order={order}"] = complex_fields(dc)
+for k in range(2, 7):
+    for i, lat in enumerate(order_core.all_lattices_up_to_iso(k)):
+        out[f"discretize full {k}#{i} n=4"] = complex_fields(circuit.discretize(circuit.build_full(lat), 4))
+for name, (slices, dist) in json.loads(sys.argv[1]).items():
+    base = finspace.DiscreteSpace(
+        tuple(finspace.Cell(i, 0, f"b{i}") for i in range(len(slices))),
+        tuple(1 << i for i in range(len(slices))),
+        {(a, b): Fraction(d) for a, b, d in dist}, tuple(map(Fraction, slices)), Fraction(1, 4))
+    w = tower.build_W(base, *tower.default_turn_functions(6))
+    fields = space_fields(w.space)
+    fields.update({"copy_of": digest(w.copy_of), "base_cell": digest(w.base_cell)})
+    out[f"build_W {name}"] = fields
+print(json.dumps(out))
+"""
+
+
+def build(src: str) -> dict:
+    """Per built space, a digest of each field, as built by the tree at src."""
+    rng = random.Random(5)
+    bases = {}
+    for cells in (20, 60):
+        slices, dist = inputs.draw_sliced_base(rng, cells, 6)
+        bases[f"base{cells}"] = (slices, [(a, b, str(d)) for (a, b), d in dist.items()])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", BUILD, json.dumps(bases)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 def scan(src: str, pitches: list[int]) -> dict:
@@ -230,7 +306,19 @@ def main() -> int:
         else:
             unequal += 1
             print(f"brute-force scan {name}: DIFFERS\n  old {found}\n  new {new_scan.get(name)}")
-    return 1 if differ or unequal else 0
+    old_build, new_build = build(args.old_src), build(args.new_src)
+    mismatched = 0
+    for name, fields in old_build.items():
+        other = new_build.get(name, {})
+        bad = [field for field in fields if other.get(field) != fields[field]]
+        if bad:
+            mismatched += 1
+            print(f"structure {name}: DIFFERS in {', '.join(bad)}")
+        else:
+            print(f"structure {name}: equal ({len(fields)} fields)")
+    print(f"{len(old_build)} structures, {len(old_build) - mismatched} equal, "
+          f"{mismatched} differ")
+    return 1 if differ or unequal or mismatched else 0
 
 
 if __name__ == "__main__":

@@ -8,16 +8,30 @@ Distance storage is sparse: only pairs at distance < 1 are recorded, every
 other distinct pair is at distance exactly 1.
 
 Each space is compiled once, on first use, into a private view held on the
-instance (it takes no part in equality or repr): the closure mask of every
-cell, the offset masks of closure and minimal opens (below), the sorted
-distance values, and, each built lazily, the per-cell list of stored
-neighbours with their distances and, per radius r, one mask per cell of the
-cells strictly within r.  Closure, expansion, thresholds and the closed-set
-generators read that view instead of rebuilding it.  The metric
-checks (validate here; the directed-system, three-copy and cover-radius
-checks in tower) walk only the stored distances, validate and the cover
-radius through the neighbour lists, so they cost O(stored pairs) rather
-than O(cells²).
+instance (it takes no part in equality or repr): the offset masks of closure
+and minimal opens (below), the sorted distance values, and, each built
+lazily, the per-cell list of stored neighbours with their distances and, per
+radius r, one mask per cell of the cells strictly within r.  Closure,
+expansion, thresholds and the closed-set generators read that view instead
+of rebuilding it; no per-cell closure tuple is kept, as closure(),
+all_closed_sets and closure_masks() read the closure block of the offset
+masks.  The metric checks (validate here; the directed-system, three-copy
+and cover-radius checks in tower) walk only the stored distances, validate
+and the cover radius through the neighbour lists, so they cost O(stored
+pairs) rather than O(cells²).
+
+A view is made in one of three ways.  A space built directly from min_open
+(tests, build_W's base) is walked cell by cell.  The one-gate template of
+gate hands compiled() the offset rows it read off its own incidences.  And
+solder (with coproduct, its group-free case) leaves its parts behind, and
+the view is placed from theirs on first use: a run of cells that the
+soldering map moves by one shift keeps its rows, which land at every copy's
+shift at once as the product with a mask holding one bit per copy; only the
+rows that cross runs, at the soldered terminals, are mapped one by one.  So
+a gate complex is assembled without walking a full-width mask, and
+build_W, which replaces dist right after its coproduct, pays nothing for a
+view it drops.  retag keeps the view across new cells or a new pitch;
+dataclasses.replace drops it, as it must when min_open or dist change.
 
 Definability needs only the smallest threshold r0 above the floor.  The
 expansion of d grows with r and interior is monotone, so d inside
@@ -53,10 +67,12 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat, starmap
 from math import gcd, lcm
+from operator import lt
 
 _PACK_BITS = 1 << 16  # bits of one pack of candidates in enumerate_definable
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # drawn flags as binary digits
 
 
 class BudgetExceeded(RuntimeError):
@@ -104,7 +120,8 @@ class DiscreteSpace:
     dist: dict
     slices: tuple[Fraction, ...] | None = None
     resolution: Fraction = Fraction(1)
-    _compiled: "_View | None" = field(
+    # the view, or until its first use what solder left to place it from
+    _compiled: "_View | tuple | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -122,8 +139,16 @@ class DiscreteSpace:
         return self.dist.get((i, j) if i < j else (j, i), Fraction(1))
 
     def closure_masks(self) -> tuple[int, ...]:
-        """cl({x}) per cell: everything whose minimal open contains x."""
-        return _view(self).closure
+        """cl({x}) per cell: everything whose minimal open contains x, read
+        off the closure block of the view's offset masks."""
+        full = self.full_mask
+        cl = [1 << x for x in range(self.n)]
+        for k, up, down in _view(self).pairs:
+            for x in bits(up & full):
+                cl[x] |= 1 << x + k
+            for x in bits(down & full):
+                cl[x] |= 1 << x - k
+        return tuple(cl)
 
     def neighbours(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """Per cell i, ((j, d), ...) for every stored distance d(i, j) = d."""
@@ -134,27 +159,28 @@ class _View:
     """The compiled tables of one space (see the module docstring)."""
 
     __slots__ = (
-        "closure", "offsets", "values", "_adj", "_near", "_floors",
-        "_floor", "_entry",
+        "offsets", "pairs", "values", "_adj", "_near", "_floors", "_floor",
+        "_entry",
     )
 
-    def __init__(self, s: DiscreteSpace):
+    def __init__(self, s: DiscreteSpace, rows: dict):
+        """rows: offset k -> the mask of the cells y with y + k in
+        min_open(y), for every k != 0 that has one."""
         n = s.n
-        cl = [1 << i for i in range(n)]
-        rows = defaultdict(list)  # offset k -> cells y with y + k in min_open(y)
-        for y in range(n):
-            for x in bits(s.min_open[y]):
-                if x != y:
-                    cl[x] |= 1 << y
-                    rows[x - y].append(y)
-        self.closure = tuple(cl)
         self.offsets: dict = {}  # offset k -> its cl | min_open << n mask
-        for k, ys in rows.items():
-            _add_both_ways(self.offsets, k, _mask(ys, n), n, 0)
-        vals = set(s.dist.values())
+        for k, m in rows.items():
+            _add_both_ways(self.offsets, k, m, n, 0)
+        self.pairs = _pairs(self.offsets)
+        # distances share their Fractions: take each object once, and key it
+        # exactly by its numerator over the lcm of the denominators
+        vals = [*{id(d): d for d in s.dist.values()}.values()]
         if len(s.dist) < n * (n - 1) // 2:
-            vals.add(Fraction(1))
-        self.values = tuple(sorted(vals))
+            vals.append(Fraction(1))
+        one = lcm(*(d.denominator for d in vals))
+        keyed: dict = {}
+        for d in vals:
+            keyed.setdefault(d.numerator * (one // d.denominator), d)
+        self.values = tuple(keyed[k] for k in sorted(keyed))
         self._adj = None  # per-cell stored neighbours, built on first use
         self._near: dict = {}  # count of distance values below r -> masks
         self._floors: dict = {}  # count of values <= r_min -> kernel entry
@@ -176,10 +202,9 @@ class _View:
         masks = self._near.get(key)
         if masks is None:
             near = [0] * s.n
-            for (a, b), d in s.dist.items():
-                if d < r:
-                    near[a] |= 1 << b
-                    near[b] |= 1 << a
+            for a, b in _stored_below(s, r):
+                near[a] |= 1 << b
+                near[b] |= 1 << a
             masks = self._near[key] = tuple(near)
         return masks
 
@@ -202,8 +227,8 @@ class _View:
             table = dict(self.offsets)
             if r0 is not None:
                 rows = defaultdict(list)  # offset k -> cells a with a + k near a
-                for (a, b), d in s.dist.items():
-                    if d < r0 and a != b:
+                for a, b in _stored_below(s, r0):
+                    if a != b:
                         rows[b - a].append(a)
                 n = s.n
                 for k, xs in rows.items():
@@ -211,6 +236,13 @@ class _View:
             entry = self._floors[i] = (r0, _pairs(table))
         self._floor, self._entry = r_min, entry
         return entry
+
+
+def _stored_below(s: DiscreteSpace, r: Fraction) -> list:
+    """The keys of the stored distances below r, in the order of s.dist.
+    Distances share their Fractions, so each object is compared once."""
+    below = {id(d) for d in {id(d): d for d in s.dist.values()}.values() if d < r}
+    return [key for key, d in s.dist.items() if id(d) in below]
 
 
 def _mask(positions, width: int) -> int:
@@ -246,11 +278,49 @@ def _spread(d: int, pairs: tuple) -> int:
 
 
 def _view(s: DiscreteSpace) -> _View:
+    """The view of s, compiled on first use: placed from the parts a solder
+    left in its place, else read cell by cell off min_open."""
     v = s._compiled
-    if v is None:
-        v = _View(s)
+    if not isinstance(v, _View):
+        v = _View(s, _walked_rows(s) if v is None else _placed_rows(s.n, *v))
         object.__setattr__(s, "_compiled", v)
     return v
+
+
+def _walked_rows(s: DiscreteSpace) -> dict:
+    """The minimal-open relation by offset (see _View), cell by cell."""
+    rows = defaultdict(list)  # offset k -> cells y with y + k in min_open(y)
+    for y in range(s.n):
+        for x in bits(s.min_open[y]):
+            if x != y:
+                rows[x - y].append(y)
+    return {k: _mask(ys, s.n) for k, ys in rows.items()}
+
+
+def compiled(s: DiscreteSpace, rows: dict) -> DiscreteSpace:
+    """s with its view built from rows, offset k -> the cells y with y + k in
+    min_open(y) (k != 0), as the caller that built min_open already knows
+    them; s must not have been compiled yet."""
+    object.__setattr__(s, "_compiled", _View(s, {k: _mask(ys, s.n) for k, ys in rows.items()}))
+    return s
+
+
+def retag(s: DiscreteSpace, cells=None, resolution=None) -> DiscreteSpace:
+    """s with other cells (as many, e.g. with other tags) or another pitch.
+
+    The view comes along, compiled or not, since it reads neither;
+    dataclasses.replace would drop it, as it must when min_open or dist
+    change.
+    """
+    cells = s.cells if cells is None else tuple(cells)
+    if len(cells) != s.n:
+        raise ValueError(f"retag needs {s.n} cells, got {len(cells)}")
+    out = DiscreteSpace(
+        cells, s.min_open, s.dist, s.slices,
+        s.resolution if resolution is None else resolution,
+    )
+    object.__setattr__(out, "_compiled", s._compiled)
+    return out
 
 
 def validate(s: DiscreteSpace) -> list[str]:
@@ -264,6 +334,8 @@ def validate(s: DiscreteSpace) -> list[str]:
     ids = [c.id for c in s.cells]
     if ids != list(range(s.n)):
         diags.append("cell ids are not dense 0..n-1")
+    if s.resolution <= 0:
+        diags.append(f"resolution {s.resolution} is not positive")
     for i in range(s.n):
         if not s.min_open[i] >> i & 1:
             diags.append(f"min_open({i}) does not contain {i}")
@@ -310,11 +382,7 @@ def validate(s: DiscreteSpace) -> list[str]:
 
 
 def closure(s: DiscreteSpace, a: int) -> int:
-    out = a
-    cl = _view(s).closure
-    for x in bits(a):
-        out |= cl[x]
-    return out
+    return a | _spread(a, _view(s).pairs)
 
 
 def interior(s: DiscreteSpace, a: int) -> int:
@@ -420,6 +488,8 @@ def openness_thresholds(s: DiscreteSpace, r_min: Fraction) -> list[Fraction]:
     a dangling closed point that no discretization at this pitch can avoid.
     """
     h = s.resolution
+    if h <= 0:
+        raise ValueError(f"resolution must be positive, got {h}")
     out = []
     k = 1
     while k * h <= 1:
@@ -457,25 +527,9 @@ def coproduct(*spaces: DiscreteSpace) -> DiscreteSpace:
 
     All cross distances are 1 and the topology is the disjoint sum.  The
     resolution is the gcd of the parts' (1 for no parts); slices survive
-    when every part has them.
+    when every part has them.  This is solder with no groups.
     """
-    cells: list[Cell] = []
-    min_open: list[int] = []
-    dist: dict = {}
-    res = Fraction(0)  # gcd(0, r) = r
-    for s in spaces:
-        off = len(cells)
-        cells += [Cell(off + c.id, c.dim, c.tag) for c in s.cells]
-        min_open += [m << off for m in s.min_open]
-        for (a, b), d in s.dist.items():
-            dist[(a + off, b + off)] = d
-        res = _frac_gcd(res, s.resolution)
-    slices = None
-    if spaces and all(s.slices is not None for s in spaces):
-        slices = tuple(v for s in spaces for v in s.slices)
-    return DiscreteSpace(
-        tuple(cells), tuple(min_open), dist, slices, res or Fraction(1)
-    )
+    return solder(spaces, ())[0]
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -484,20 +538,36 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 
 def solder(
-    s: DiscreteSpace, groups, tags=None
+    parts, groups, tags=None
 ) -> tuple[DiscreteSpace, tuple[int, ...]]:
-    """Quotient identifying each group of crisply embedded 0-cells to one cell.
+    """The coproduct of parts with each group of crisply embedded 0-cells
+    identified to one cell.
 
-    Returns the quotient space and the old-id -> new-id map.  The merged
-    cell's minimal open is the union of the members'; its distance to any
-    other cell is the minimum over members (all 1 here, by crispness).
+    Old ids number the parts block by block, as coproduct does; groups and
+    the returned old-id -> new-id map use them.  New ids follow first
+    occurrence, a group materializing at its least member and taking its
+    tag from tags.  The merged cell's minimal open is the union of the
+    members'; its distance to any other cell is the minimum over members
+    (all 1 here, by crispness).
+
+    Each part is walked by runs: the stretches of its cells that the map
+    moves by one shift, a soldered cell being a run of its own.  A minimal
+    open inside its cell's run moves by that shift, any other is remapped
+    bit by bit, so no full-width mask is walked.  The quotient's view is
+    left to be placed from the parts' views on first use (_placed_rows);
+    one part with no groups is laid as it is and keeps its own.
     """
+    parts = tuple(parts)
+    starts = []  # old id of each part's first cell
+    total = 0
+    for p in parts:
+        starts.append(total)
+        total += p.n
     groups = [tuple(g) for g in groups]
     seen: set[int] = set()
     # a single cell is crisply embedded iff no stored distance touches it
-    touched = 0
-    for a, b in s.dist:
-        touched |= 1 << a | 1 << b
+    touched: dict = {}  # id of a part's dist -> the cells its keys name
+    where: dict = {}  # part index -> its soldered cells, local
     for g in groups:
         if len(g) != len(set(g)):
             raise ValueError(f"group {g} repeats a cell")
@@ -505,54 +575,147 @@ def solder(
             if c in seen:
                 raise ValueError(f"cell {c} appears in two solder groups")
             seen.add(c)
-            if s.cells[c].dim != 0:
+            if not 0 <= c < total:
+                raise ValueError(f"cannot solder cell {c}: no such cell")
+            pi = bisect_right(starts, c) - 1
+            p, local = parts[pi], c - starts[pi]
+            if p.cells[local].dim != 0:
                 raise ValueError(f"cannot solder cell {c}: not a 0-cell")
-            if touched >> c & 1:
+            t = touched.get(id(p.dist))
+            if t is None:
+                t = touched[id(p.dist)] = {x for key in p.dist for x in key}
+            if local in t:
                 raise ValueError(f"cannot solder cell {c}: not crisply embedded")
-    group_of = {}
-    for gi, g in enumerate(groups):
-        for c in g:
-            group_of[c] = gi
-    # new ids: first occurrence order; a group materializes at its least member
-    old_to_new = [-1] * s.n
-    new_cells: list[Cell] = []
+            where.setdefault(pi, []).append(local)
+    group_of = {c: gi for gi, g in enumerate(groups) for c in g}
     group_new: dict[int, int] = {}
-    for i, c in enumerate(s.cells):
-        gi = group_of.get(i)
-        if gi is not None and gi in group_new:
-            old_to_new[i] = group_new[gi]
-            continue
-        nid = len(new_cells)
-        tag = c.tag
-        if gi is not None:
-            group_new[gi] = nid
-            if tags is not None and tags[gi] is not None:
-                tag = tags[gi]
-        new_cells.append(Cell(nid, c.dim, tag))
-        old_to_new[i] = nid
-    n_new = len(new_cells)
-    min_open = [0] * n_new
-    for i in range(s.n):
-        m = 0
-        for y in bits(s.min_open[i]):
-            m |= 1 << old_to_new[y]
-        min_open[old_to_new[i]] |= m
+    cells: list[Cell] = []
+    old_to_new: list[int] = []
+    min_open: list[int] = []
     dist: dict = {}
-    for (a, b), d in s.dist.items():
-        na, nb = old_to_new[a], old_to_new[b]
-        if na == nb:
-            continue
-        key = (na, nb) if na < nb else (nb, na)
-        if key not in dist or d < dist[key]:
-            dist[key] = d
-    slices = None
-    if s.slices is not None:
-        vals: list = [None] * n_new
-        for i in range(s.n):
-            vals[old_to_new[i]] = s.slices[i]
-        slices = tuple(vals)
-    out = DiscreteSpace(tuple(new_cells), tuple(min_open), dist, slices, s.resolution)
-    return out, tuple(old_to_new)
+    sliced = bool(parts) and all(p.slices is not None for p in parts)
+    slices: list = []
+    res = Fraction(0)  # gcd(0, r) = r
+    leaving: dict = {}  # (id of a min_open tuple, run) -> its cells opening outside the run
+    placed = []  # (part, old id of its first cell, its runs (a, b, shift))
+    for pi, (p, start) in enumerate(zip(parts, starts)):
+        runs = []
+        at = 0
+        for local in sorted(where.get(pi, ())) + [p.n]:
+            if at < local:
+                nid = len(cells)
+                runs.append((at, local, nid - at))
+                block = p.cells[at:local]
+                if any(c.id != i for i, c in enumerate(block, nid)):  # else keep them
+                    block = [Cell(i, c.dim, c.tag) for i, c in enumerate(block, nid)]
+                cells += block
+                old_to_new += range(nid, nid + local - at)
+            if local == p.n:
+                break
+            gi = group_of[start + local]
+            nid = group_new.get(gi)
+            if nid is None:
+                nid = group_new[gi] = len(cells)
+                tag = p.cells[local].tag
+                if tags is not None and tags[gi] is not None:
+                    tag = tags[gi]
+                cells.append(Cell(nid, 0, tag))
+            old_to_new.append(nid)
+            runs.append((local, local + 1, nid - local))
+            at = local + 1
+        loc = old_to_new[start:]
+        mo = p.min_open
+        for a, b, sh in runs:
+            key = (id(mo), a, b)
+            leave = leaving.get(key)
+            if leave is None:
+                low = (1 << a) - 1
+                leave = leaving[key] = [y for y in range(a, b) if mo[y] >> b or mo[y] & low]
+            moved = [m << sh for m in mo[a:b]] if sh >= 0 else [m >> -sh for m in mo[a:b]]
+            for y in leave:
+                m = 0
+                for x in bits(mo[y]):
+                    m |= 1 << loc[x]
+                moved[y - a] = m
+            if a + sh < len(min_open):  # a soldered cell, merged into an earlier one
+                min_open[a + sh] |= moved[0]
+            else:
+                min_open += moved
+        for (a, b), d in p.dist.items():
+            na, nb = loc[a], loc[b]
+            if na == nb:
+                continue
+            key = (na, nb) if na < nb else (nb, na)
+            if key not in dist or d < dist[key]:
+                dist[key] = d
+        if sliced:
+            for a, b, sh in runs:
+                if a + sh < len(slices):
+                    slices[a + sh] = p.slices[a]
+                else:
+                    slices += p.slices[a:b]
+        res = _frac_gcd(res, p.resolution)
+        placed.append((p, start, runs))
+    out = DiscreteSpace(
+        tuple(cells), tuple(min_open), dist, tuple(slices) if sliced else None,
+        res or Fraction(1),
+    )
+    old_to_new = tuple(old_to_new)
+    if len(parts) == 1 and not groups:  # the part as it is, and so is its view
+        object.__setattr__(out, "_compiled", parts[0]._compiled)
+    else:
+        object.__setattr__(out, "_compiled", (old_to_new, placed))
+    return out, old_to_new
+
+
+def _placed_rows(n: int, old_to_new, placed) -> dict:
+    """The minimal-open relation by offset (see _View) of a soldered space,
+    placed from its parts' views.
+
+    Parts with one view and the same runs form a class.  Within a class, a
+    run's row at offset k (the pairs with both cells in the run) lands at
+    every member's shift of that run at once: the placement mask holds one
+    bit per member, and its product with the row ORs the shifted copies,
+    which never overlap since the members' runs are disjoint.  The pairs
+    that cross runs are mapped one by one.
+    """
+    classes: dict = {}  # (id of the view, run bounds) -> (view, part size, members)
+    for p, start, runs in placed:
+        v = _view(p)
+        key = (id(v), tuple((a, b) for a, b, _ in runs))
+        cls = classes.get(key)
+        if cls is None:
+            cls = classes[key] = (v, p.n, [])
+        cls[2].append((start, [sh for _, _, sh in runs]))
+    rows: dict = defaultdict(int)  # offset k -> placed mask
+    loose = defaultdict(list)  # offset k -> new cells y of crossing pairs
+    for (_, bounds), (v, size, members) in classes.items():
+        spots = []  # per run: the least shift, and one bit per member's shift above it
+        for shifts in zip(*(shs for _, shs in members)):
+            least = min(shifts)
+            spots.append((least, _mask([sh - least for sh in shifts], max(shifts) - least + 1)))
+        crossing = []  # local (y, y + k) pairs whose cells lie in two runs
+        for k, m in v.offsets.items():
+            row = m >> size  # the minimal-open block: y with y + k in min_open(y)
+            if not row:
+                continue
+            inside = 0
+            for (a, b), (least, place) in zip(bounds, spots):
+                lo, hi = max(a, a - k), min(b, b - k)
+                part = row & (1 << hi) - (1 << lo) if lo < hi else 0
+                if part:
+                    inside |= part
+                    spread = place * part
+                    rows[k] |= spread << least if least >= 0 else spread >> -least
+            crossing += [(y, y + k) for y in bits(row & ~inside)]
+        for start, _ in members:
+            for y, x in crossing:
+                ny, nx = old_to_new[start + y], old_to_new[start + x]
+                if ny != nx:
+                    loose[nx - ny].append(ny)
+    for k, ys in loose.items():
+        rows[k] |= _mask(ys, n)
+    return rows
 
 
 def all_closed_sets(s: DiscreteSpace, budget: int) -> list[int]:
@@ -560,15 +723,8 @@ def all_closed_sets(s: DiscreteSpace, budget: int) -> list[int]:
         raise BudgetExceeded(
             f"2^{s.n} closed-set candidates exceed the budget of {budget}"
         )
-    cl = _view(s).closure
-    out = []
-    for mask in range(1 << s.n):
-        c = mask
-        for x in bits(mask):
-            c |= cl[x]
-        if c == mask:
-            out.append(mask)
-    return out
+    pairs = _view(s).pairs
+    return [m for m in range(1 << s.n) if not _spread(m, pairs) & ~m]
 
 
 def enumerate_definable(
@@ -621,13 +777,14 @@ def random_closed_sets(s: DiscreteSpace, count: int, seed: int) -> list[int]:
     import random
 
     rng = random.Random(seed)
-    pairs = _pairs(_view(s).offsets)
+    pairs = _view(s).pairs
     probs = [0.15, 0.3, 0.5, 0.7, 0.85]
     out = []
     for k in range(count):
         p = probs[k % len(probs)]
-        drawn = ["1" if rng.random() < p else "0" for _ in range(s.n)]
-        c = int("".join(reversed(drawn)) or "0", 2)
+        # cell i is drawn when the i-th random() is below p, one byte per cell
+        drawn = bytes(map(lt, starmap(rng.random, repeat((), s.n)), repeat(p)))
+        c = int(drawn[::-1].translate(_DIGITS) or b"0", 2)
         out.append(c | _spread(c, pairs))
     return out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from . import finspace
@@ -133,50 +134,62 @@ def _template(n: int):
     between its endpoint vertices.  The vertices come first, in
     VERTEX_ORDER, then each edge's interior in EDGE_ORDER, alternating
     1-cells e0, e1, ... with 0-cells v0, v1, ...  Cell tags carry no copy
-    prefix.  Only the distances and the reps are Fractions.
+    prefix.  Only the distances and the reps are Fractions, one per
+    distinct value.  The space comes compiled: its offset rows are read off
+    the incidences as they are made (a 0-cell opens into its flanks, a
+    vertex into the end cell of each of its edges).
     """
     unit = 2 * n
-    grid = [(int(x * unit), int(y * unit)) for x, y in map(VERTICES.get, VERTEX_ORDER)]
+    grid = [(int(x) * unit, int(y) * unit) for x, y in map(VERTICES.get, VERTEX_ORDER)]
     cells = [Cell(i, 0, v) for i, v in enumerate(VERTEX_ORDER)]
     min_open = [1 << i for i in range(len(cells))]
+    rows: dict = {1: [], -1: []}  # offset k -> cells y with y + k in min_open(y)
     edge_records = []
     for ename in EDGE_ORDER:
         ends = tuple(VERTEX_ORDER.index(v) for v in EDGES[ename][3])
         (xa, ya), (xb, yb) = grid[ends[0]], grid[ends[1]]
         slope = (yb - ya) // (xb - xa)
-        first = len(cells)
-        for j in range(1, xb - xa):
-            cid = len(cells)
-            tag = f"{ename}.e{j // 2}" if j % 2 else f"{ename}.v{j // 2 - 1}"
-            cells.append(Cell(cid, j % 2, tag))
-            # a 0-cell opens into its flanking 1-cells
-            min_open.append(1 << cid if j % 2 else 0b111 << cid - 1)
-            grid.append((xa + j, ya + slope * j))
+        first = len(cells)  # interior cell j (1-based) is first + j - 1
+        steps = range(1, xb - xa)
+        block: list = [None] * len(steps)
+        block[::2] = [Cell(first + j - 1, 1, f"{ename}.e{j // 2}") for j in steps[::2]]
+        block[1::2] = [Cell(first + j - 1, 0, f"{ename}.v{j // 2 - 1}") for j in steps[1::2]]
+        cells += block
+        # a 0-cell opens into its flanking 1-cells
+        min_open += [1 << c if (c - first) % 2 == 0 else 0b111 << c - 1
+                     for c in range(first, len(cells))]
+        rows[-1] += range(first + 1, len(cells), 2)
+        rows[1] += range(first + 1, len(cells), 2)
+        grid += [(xa + j, ya + slope * j) for j in steps]
+        last = len(cells) - 1
         min_open[ends[0]] |= 1 << first
-        min_open[ends[1]] |= 1 << len(cells) - 1
+        min_open[ends[1]] |= 1 << last
+        rows.setdefault(first - ends[0], []).append(ends[0])
+        rows.setdefault(last - ends[1], []).append(ends[1])
         edge_records.append((ename, range(first, len(cells)), ends))
 
     # same-x cells outside the crisp region (see in_crisp_region) are metric
     # witnesses at the larger |y|
-    by_x: dict = {}
+    by_x: dict = {}  # X -> (|Y|, cell) for the cells outside the crisp region
     for i, (x, y) in enumerate(grid):
         crisp = abs(y) == unit and x <= unit or y == 0 and x >= unit
         if not crisp:
-            by_x.setdefault(x, []).append(i)
-    # every coordinate lies in [-2, 2], so frac holds each X/unit and Y/unit
-    frac = {v: Fraction(v, unit) for v in range(-2 * unit, 2 * unit + 1)}
-    dist: dict = {}
+            by_x.setdefault(x, []).append((abs(y), i))
+    near: dict = {}  # (a, b) -> d(a, b) < 1 as a multiple of the half pitch
     for group in by_x.values():
-        for ai, a in enumerate(group):
-            for b in group[ai + 1:]:
-                d = max(abs(grid[a][1]), abs(grid[b][1]))
+        for at, (ya, a) in enumerate(group, 1):
+            for yb, b in group[at:]:
+                d = ya if ya > yb else yb
                 if d < unit:
-                    dist[(a, b)] = frac[d]
+                    near[(a, b)] = d
+    # every coordinate, and so every distance, is an integer in [-2 unit, 2 unit]
+    frac = {v: Fraction(v, unit) for v in range(-2 * unit, 2 * unit + 1)}
     space = DiscreteSpace(
-        tuple(cells), tuple(min_open), dist, None, Fraction(1, n)
+        tuple(cells), tuple(min_open), {key: frac[d] for key, d in near.items()},
+        None, Fraction(1, n),
     )
-    reps = tuple((frac[x], frac[y]) for x, y in grid)
-    return space, reps, edge_records
+    reps = tuple([(frac[x], frac[y]) for x, y in grid])
+    return finspace.compiled(space, rows), reps, edge_records
 
 
 _TERMINAL_VERTICES = tuple(VERTEX_ORDER.index(v) for v in ("I1", "I2", "OUT"))
@@ -191,8 +204,10 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
     three terminals.  Each terminal_order label that no gate names becomes an
     isolated crisp 0-cell, a free point.
 
-    The copies are one template laid side by side by finspace.coproduct,
-    which numbers each copy as one block, followed by the free points.
+    finspace.solder lays the copies of the one template side by side, each
+    as one block, followed by the free points, and identifies the
+    terminals; the template's compiled view is placed into the complex's on
+    first use, so no full-width mask is walked.
     """
     if n < 2:
         raise ValueError(f"subdivision n must be >= 2, got {n}")
@@ -201,7 +216,7 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
     k = len(gate_labels)
     prefixes = [f"g{g}." for g in range(k)] if k > 1 else [""] * k
     parts = [
-        replace(tmpl, cells=tuple(Cell(c.id, c.dim, p + c.tag) for c in tmpl.cells))
+        finspace.retag(tmpl, [Cell(c.id, c.dim, p + c.tag) for c in tmpl.cells])
         if p else tmpl
         for p in prefixes
     ]
@@ -215,8 +230,6 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
             terminal_cells[label] = [k * size + len(free)]
             free.append(label)
     points = [finspace.point_space(f"n.{label}") for label in free]
-    # the pitch is 1/n even without gate copies
-    space = replace(finspace.coproduct(*parts, *points), resolution=tmpl.resolution)
 
     groups = []
     group_tags = []
@@ -225,10 +238,9 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
         if len(uniq) > 1:
             groups.append(uniq)
             group_tags.append(f"n.{label}")
-    if groups:
-        space, old_to_new = finspace.solder(space, groups, group_tags)
-    else:
-        old_to_new = tuple(range(space.n))
+    space, old_to_new = finspace.solder([*parts, *points], groups, group_tags)
+    # the pitch is 1/n even without gate copies
+    space = finspace.retag(space, resolution=tmpl.resolution)
 
     old_reps = reps * k + (None,) * len(points)
     new_reps: list = [None] * space.n
@@ -238,11 +250,9 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
     edges = []
     for pfx, cells in zip(prefixes, copies):
         for name, interior, (va, vb) in edge_records:
-            mask = 0
-            for c in interior:
-                mask |= 1 << cells[c]
+            # no interior cell is soldered, so the interior stays one block
             ea, eb = cells[va], cells[vb]
-            mask |= 1 << ea | 1 << eb
+            mask = (1 << len(interior)) - 1 << cells[interior[0]] | 1 << ea | 1 << eb
             edges.append(ComplexEdge(f"{pfx}{name}", mask, (ea, eb)))
     terminals = {
         label: old_to_new[ids[0]] for label, ids in terminal_cells.items()
@@ -269,7 +279,7 @@ def _retagged(dc: DiscretizedComplex, labels) -> DiscretizedComplex:
     for label in labels:
         cid = dc.terminals[label]
         cells[cid] = Cell(cid, 0, label)
-    return replace(dc, space=replace(dc.space, cells=tuple(cells)))
+    return replace(dc, space=finspace.retag(dc.space, cells))
 
 
 def discretize(n: int) -> DiscretizedComplex:
@@ -332,8 +342,8 @@ def _edge_table(dc: DiscretizedComplex, cap: int | None, *columns):
         pinned += [a | ends for a in pinned]
         if cap is not None and len(pinned) > cap:
             break  # each subset contributes at least one candidate
-    nv = len(dc.vertices)
-    size = sum(1 << nv - m.bit_count() for m in pinned)
+    # each subset contributes 2^(nv - its pinned count), summed at C speed
+    size = sum(map((1 << len(dc.vertices)).__rshift__, map(int.bit_count, pinned)))
     if cap is not None and size > cap:
         raise BudgetExceeded(f"saturated family exceeds the budget of {cap}")
     return size, pinned, *(_doubled(0, col) for col in columns)
@@ -356,13 +366,16 @@ def saturated_candidates(dc: DiscretizedComplex, budget: int = 1 << 20):
     """Every union of whole-edge closures plus extra original vertices.
 
     The wire rule confines definable sets to this family; candidates are
-    closed by construction.  Raises BudgetExceeded before yielding anything
-    if the family is larger than the budget.
+    closed by construction.  Returns an iterator over each edge subset's
+    list of masks in turn.  Raises BudgetExceeded, before any mask is
+    made, if the family is larger than the budget.
     """
     _, pinneds, bases = _edge_table(dc, budget, [e.closure_mask for e in dc.edges])
-    for base, pinned in zip(bases, pinneds):
-        free = [v for i, v in enumerate(dc.vertices) if not pinned >> i & 1]
-        yield from _doubled(base, [1 << v for v in free])
+    verts = [1 << v for v in dc.vertices]
+    return chain.from_iterable(
+        _doubled(base, [m for i, m in enumerate(verts) if not pinned >> i & 1])
+        for base, pinned in zip(bases, pinneds)
+    )
 
 
 @dataclass(frozen=True)

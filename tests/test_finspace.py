@@ -1,6 +1,8 @@
 import itertools
 import random
 from bisect import bisect_right
+from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -282,8 +284,9 @@ def packed_failure(s, d, r_min):
         return None
     # the cells of d whose minimal open meets `bad` are d & cl(bad)
     hit = 0
+    cl = s.closure_masks()
     for y in fs.bits(bad):
-        hit |= s.closure_masks()[y]
+        hit |= cl[y]
     hit &= d
     return r0, (hit & -hit).bit_length() - 1
 
@@ -521,6 +524,135 @@ class TestCompiledViewIsInvisible:
                 assert [fs.is_definable(shared, d, r) for d in pool] == want[r]
 
 
+def reference_view(s):
+    """_View.__init__ as it was before views were placed from their parts,
+    kept as the referee: one walk over the full-width minimal opens gives
+    the closure tuple and the offset masks; then the sorted distance values."""
+    n = s.n
+    cl = [1 << i for i in range(n)]
+    rows = defaultdict(list)  # offset k -> cells y with y + k in min_open(y)
+    for y in range(n):
+        for x in fs.bits(s.min_open[y]):
+            if x != y:
+                cl[x] |= 1 << y
+                rows[x - y].append(y)
+    closure = tuple(cl)
+    offsets = {}  # offset k -> its cl | min_open << n mask
+    for k, ys in rows.items():
+        fs._add_both_ways(offsets, k, fs._mask(ys, n), n, 0)
+    vals = set(s.dist.values())
+    if len(s.dist) < n * (n - 1) // 2:
+        vals.add(F(1))
+    return closure, offsets, tuple(sorted(vals))
+
+
+def reference_kernel(s, offsets, values, r_min):
+    """_View.kernel's entry as it was, from the reference offsets: the near
+    block at the smallest threshold above r_min, read off every stored pair."""
+    i = bisect_right(values, r_min)
+    r0 = values[i] if i < len(values) and values[i] <= 1 else None
+    table = dict(offsets)
+    if r0 is not None:
+        rows = defaultdict(list)  # offset k -> cells a with a + k near a
+        for (a, b), d in s.dist.items():
+            if d < r0 and a != b:
+                rows[b - a].append(a)
+        for k, xs in rows.items():
+            fs._add_both_ways(table, k, fs._mask(xs, s.n), 2 * s.n, 2 * s.n)
+    return r0, fs._pairs(table)
+
+
+def assert_view_is_reference(s, floor, walked=False):
+    """The view of s equals the reference in offset pairs, values, kernel
+    entries at the floor, at 0 and at 1, and closure_masks().  Unless
+    walked, s must already hold its view or what solder left to place it
+    from, so the view checked is not one walked from min_open."""
+    assert (s._compiled is None) == walked
+    closure, offsets, values = reference_view(s)
+    view = fs._view(s)
+    assert view.pairs == fs._pairs(offsets)
+    assert view.values == values
+    for r in (floor, F(0), F(1)):
+        assert view.kernel(s, r) == reference_kernel(s, offsets, values, r), r
+    assert s.closure_masks() == closure
+    for d in seeded_masks(s, 5, seed=s.n):
+        want = d
+        for x in fs.bits(d):
+            want |= closure[x]
+        assert fs.closure(s, d) == want
+
+
+class TestPlacedViewMatchesReference:
+    """Views placed from parts by solder against the reference walk (the
+    gate complexes themselves are in test_gate.py)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_free_points(self, n):
+        for labels, order in (([("a", "b", "c")], ("a", "b", "c", "z")),
+                              ([("a", "a", "b")], ("y", "a", "b", "z")),
+                              ([], ("x", "y"))):
+            dc = gate.build_complex(labels, n, order)
+            assert_view_is_reference(dc.space, dc.r_min)
+
+    def test_coproducts(self):
+        parts = [gate.discretize(3).space, edge_with_ends(), crisp_points(2)]
+        for k in (0, 1, 3):
+            s = fs.coproduct(*parts[:k])
+            assert_view_is_reference(s, F(2, 3))
+        dg = gate.discretize_dagger(4).space
+        assert_view_is_reference(fs.coproduct(dg, dg, dg), F(1, 2))
+
+    def test_solder_of_plain_spaces(self):
+        s, mapping = fs.solder(
+            [crisp_points(3), edge_with_ends(), edge_with_ends()], [(0, 3), (5, 8, 1)]
+        )
+        assert mapping == (0, 1, 2, 0, 3, 1, 4, 5, 1)
+        assert_view_is_reference(s, F(0))
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    def test_build_W(self, pairs):
+        from test_tower import sliced_base
+
+        from latcirc import tower
+
+        w = tower.build_W(sliced_base(pairs), *tower.default_turn_functions(5)).space
+        assert_view_is_reference(w, F(1, 4), walked=True)
+
+    def test_replace_dist_never_keeps_a_stale_view(self):
+        dc = gate.discretize(4)
+        s = dc.space
+        fs._view(s).kernel(s, dc.r_min)  # compiled, with a kernel entry
+        a, b = next(iter(s.dist))
+        for dist in ({**s.dist, (a, b): F(1, 16)}, {}):
+            t = replace(s, dist=dist)
+            assert t._compiled is None
+            assert_view_is_reference(t, dc.r_min, walked=True)
+            assert fs._view(t).values != fs._view(s).values
+        assert fs.thresholds(replace(s, dist={}), dc.r_min) == [F(1)]
+
+    def test_retag_keeps_the_view(self):
+        s = gate.build_complex([("a", "b", "c")], 4).space
+        t = fs.retag(s, [fs.Cell(c.id, c.dim, "x") for c in s.cells], F(1, 8))
+        assert t._compiled is s._compiled and t.resolution == F(1, 8)
+        assert_view_is_reference(t, F(1, 2))
+        with pytest.raises(ValueError, match="retag needs"):
+            fs.retag(s, s.cells[1:])
+
+
+class TestNonPositiveResolution:
+    def test_validate_reports_it(self):
+        for res in (F(0), F(-1, 2)):
+            s = DiscreteSpace((Cell(0, 0),), (1,), {}, None, res)
+            assert fs.validate(s) == [f"resolution {res} is not positive"]
+
+    def test_openness_thresholds_refuse_it(self):
+        s = DiscreteSpace((Cell(0, 0),), (1,), {}, None, F(0))
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            fs.openness_thresholds(s, F(0))
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            fs.is_open_metric(s, F(0))
+
+
 class TestIsOpenMetric:
     def test_crisp_space(self):
         assert fs.is_open_metric(crisp_points(4), F(0))
@@ -603,7 +735,7 @@ class TestCoproduct:
 class TestSolder:
     def test_two_crisp_points(self):
         s = fs.coproduct(fs.point_space("x"), fs.point_space("y"))
-        out, mapping = fs.solder(s, [(0, 1)], tags=["xy"])
+        out, mapping = fs.solder([s], [(0, 1)], tags=["xy"])
         assert out.n == 1 and mapping == (0, 0)
         assert fs.is_crisp(out, 0b1)
         assert fs.validate(out) == []
@@ -618,14 +750,18 @@ class TestSolder:
         mid = next(i for i, c in enumerate(dg.space.cells) if c.tag == "UR.v0")
         v = dg.terminals["in1"]
         with pytest.raises(ValueError, match="crisply"):
-            fs.solder(dg.space, [(mid, v)])
+            fs.solder([dg.space], [(mid, v)])
+
+    def test_cell_outside_the_parts_rejected(self):
+        with pytest.raises(ValueError, match="no such cell"):
+            fs.solder([crisp_points(2), crisp_points(1)], [(0, 3)])
 
     def test_one_cell_rejected(self):
         dg = gate.discretize(2)
         e = next(i for i, c in enumerate(dg.space.cells) if c.dim == 1)
         v = dg.terminals["in1"]
         with pytest.raises(ValueError, match="0-cell"):
-            fs.solder(dg.space, [(e, v)])
+            fs.solder([dg.space], [(e, v)])
 
     def test_preserves_open_metric(self):
         n = 4

@@ -190,6 +190,48 @@ class TestAssembly:
             assert two.reps[cell] == one.reps[local]
 
 
+# the five ways one gate's terminals can be soldered: all distinct, in1 = in2,
+# in1 = out, in2 = out, all equal
+SHAPES = {
+    "plain": ("a", "b", "c"),
+    "inputs": ("a", "a", "c"),
+    "in1-out": ("a", "b", "a"),
+    "in2-out": ("a", "b", "b"),
+    "all": ("a", "a", "a"),
+}
+
+
+class TestPlacedViewMatchesReference:
+    """Complex views placed from the one-gate template against the walk over
+    full-width minimal opens (reference_view in test_finspace.py)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 32])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_five_solderings(self, shape, n):
+        from test_finspace import assert_view_is_reference
+
+        dc = gate.build_complex([SHAPES[shape]], n)
+        assert_view_is_reference(dc.space, dc.r_min)
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_retagged_gates(self, n):
+        from test_finspace import assert_view_is_reference
+
+        for dc in (gate.discretize(n), gate.discretize_dagger(n)):
+            assert_view_is_reference(dc.space, dc.r_min)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+    def test_full_presentations_n4(self, size):
+        from test_finspace import assert_view_is_reference
+
+        from latcirc import circuit as cc
+        from latcirc import order_core as oc
+
+        for lat in oc.all_lattices_up_to_iso(size):
+            dc = cc.discretize(cc.build_full(lat), 4)
+            assert_view_is_reference(dc.space, dc.r_min)
+
+
 class TestOracle:
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_exactly_seven(self, n):
