@@ -639,6 +639,75 @@ class TestPlacedViewMatchesReference:
             fs.retag(s, s.cells[1:])
 
 
+def reference_solder(parts, groups, tags):
+    """coproduct and then solder as they were before solder took the parts,
+    kept as the referee: every minimal open shifted to its block, then
+    remapped bit by bit through the old-id -> new-id map."""
+    cells, min_open, dist = [], [], {}
+    for s in parts:
+        off = len(cells)
+        cells += [Cell(off + c.id, c.dim, c.tag) for c in s.cells]
+        min_open += [m << off for m in s.min_open]
+        for (a, b), d in s.dist.items():
+            dist[(a + off, b + off)] = d
+    group_of = {c: gi for gi, g in enumerate(groups) for c in g}
+    old_to_new, new_cells, group_new = [-1] * len(cells), [], {}
+    for i, c in enumerate(cells):
+        gi = group_of.get(i)
+        if gi is not None and gi in group_new:
+            old_to_new[i] = group_new[gi]
+            continue
+        tag = c.tag
+        if gi is not None:
+            group_new[gi] = len(new_cells)
+            if tags is not None and tags[gi] is not None:
+                tag = tags[gi]
+        old_to_new[i] = len(new_cells)
+        new_cells.append(Cell(len(new_cells), c.dim, tag))
+    new_open = [0] * len(new_cells)
+    for i, m in enumerate(min_open):
+        for y in fs.bits(m):
+            new_open[old_to_new[i]] |= 1 << old_to_new[y]
+    new_dist = {}
+    for (a, b), d in dist.items():
+        na, nb = old_to_new[a], old_to_new[b]
+        new_dist[(na, nb) if na < nb else (nb, na)] = d
+    return tuple(new_cells), tuple(new_open), list(new_dist.items()), tuple(old_to_new)
+
+
+@st.composite
+def solderings(draw):
+    """One to four small spaces, some of them the same object, with groups
+    of their crisp cells (every cell of small_spaces is a 0-cell)."""
+    pool = draw(st.lists(small_spaces(), min_size=1, max_size=3))
+    parts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    crisp, off = [], 0
+    for p in parts:
+        touched = {x for key in p.dist for x in key}
+        crisp += [off + i for i in range(p.n) if i not in touched]
+        off += p.n
+    crisp = draw(st.permutations(crisp))
+    groups, at = [], 0
+    while at < len(crisp) and draw(st.booleans()):
+        size = draw(st.integers(1, min(3, len(crisp) - at)))
+        groups.append(tuple(crisp[at:at + size]))
+        at += size
+    tags = [draw(st.sampled_from([None, f"n{i}"])) for i in range(len(groups))]
+    return parts, groups, tags
+
+
+class TestSolderMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(solderings())
+    def test_random_solderings(self, case):
+        parts, groups, tags = case
+        s, mapping = fs.solder(parts, groups, tags)
+        assert (s.cells, s.min_open, list(s.dist.items()), mapping) == reference_solder(
+            parts, groups, tags
+        )
+        assert_view_is_reference(s, F(1, 4), walked=len(parts) == 1 and not groups)
+
+
 class TestNonPositiveResolution:
     def test_validate_reports_it(self):
         for res in (F(0), F(-1, 2)):
