@@ -70,6 +70,19 @@ must be equal field by field:
 - `tower.build_W` on two sliced bases drawn as the `truncation` workload
   draws them: the space's fields as above, `copy_of` and `base_cell`.
 
+Each tree also reports digests of what the metric layer reads off those
+spaces, which must be equal too:
+
+- `finspace.interior` of seeded masks, and `finspace.expand` of the same
+  masks at every distance value of the space, on the plain and dagger gates
+  at n = 2, 3, 8 and 32, on `circuit.discretize` of the full presentations
+  of the chain of four and of N5 at n = 4, and on the two `build_W` spaces;
+- the whole `tower.check_directed_system` report on the `truncation`
+  workload's two forward systems (6 stages at n = 2, 4 stages at n = 4)
+  and on a reverse system of 4 stages at n = 2, each embedded by identity;
+- `gate.oracle`'s `definable`, `patterns` and `candidates` for the plain
+  and dagger gates at every n = 2…32 (the error's text where it refuses).
+
 Exits 1 if any report, scan or field differs.
 """
 
@@ -148,7 +161,7 @@ print(json.dumps({name: finspace.enumerate_definable(dc.space, dc.r_min,
 
 
 BUILD = """
-import hashlib, json, sys
+import hashlib, json, random, sys
 from fractions import Fraction
 from latcirc import circuit, finspace, gate, order_core, tower
 
@@ -172,6 +185,12 @@ sys.set_int_max_str_digits(0)
 shapes = {"plain": ("a", "b", "c"), "inputs": ("a", "a", "c"), "in1-out": ("a", "b", "a"),
           "in2-out": ("a", "b", "b"), "all": ("a", "a", "a")}
 out = {}
+spaces = {}  # name -> a space whose interior and expand are digested below
+for n in (2, 3, 8, 32):
+    spaces[f"plain n={n}"] = gate.discretize(n).space
+    spaces[f"dagger n={n}"] = gate.discretize_dagger(n).space
+for name, lat in (("chain4", order_core.chain(4)), ("n5", order_core.n5())):
+    spaces[f"discretize full {name} n=4"] = circuit.discretize(circuit.build_full(lat), 4).space
 for n in (2, 3, 4, 5, 8, 16, 32):
     for name, labels in shapes.items():
         for order in (None, ("z", "a", "b", "c")):
@@ -189,6 +208,31 @@ for name, (slices, dist) in json.loads(sys.argv[1]).items():
     fields = space_fields(w.space)
     fields.update({"copy_of": digest(w.copy_of), "base_cell": digest(w.base_cell)})
     out[f"build_W {name}"] = fields
+    spaces[f"build_W {name}"] = w.space
+
+def masks_fields(s, seed):
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(s.n) for _ in range(8)]
+    return {"interior": digest([hex(finspace.interior(s, d)) for d in masks]),
+            "expand": digest([hex(finspace.expand(s, d, r)) for d in masks
+                              for r in finspace.thresholds(s, Fraction(0))])}
+
+for name, s in spaces.items():
+    out[f"relations {name}"] = masks_fields(s, s.n)
+for kind, stages, n in (("FORWARD_CHAIN", 6, 2), ("FORWARD_CHAIN", 4, 4), ("REVERSE_CHAIN", 4, 2)):
+    system = [circuit.discretize(tower.truncate(tower.TowerKind[kind], k), n).space
+              for k in range(1, stages + 1)]
+    report = tower.check_directed_system(system, [tuple(range(s.n)) for s in system[:-1]])
+    out[f"check_directed_system {kind} stages={stages} n={n}"] = {"report": digest(report)}
+for n in range(2, 33):
+    for variant, make in (("plain", gate.discretize), ("dagger", gate.discretize_dagger)):
+        try:
+            res = gate.oracle(make(n))
+            fields = {"definable": digest(res.definable), "patterns": digest(res.patterns),
+                      "candidates": digest(res.candidates)}
+        except ValueError as err:
+            fields = {"error": digest(str(err))}
+        out[f"gate.oracle {variant} n={n}"] = fields
 print(json.dumps(out))
 """
 

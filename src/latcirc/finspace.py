@@ -11,14 +11,14 @@ Each space is compiled once, on first use, into a private view held on the
 instance (it takes no part in equality or repr): the offset masks of closure
 and minimal opens (below), the sorted distance values, and, each built
 lazily, the per-cell list of stored neighbours with their distances and, per
-radius r, one mask per cell of the cells strictly within r.  Closure,
-expansion, thresholds and the closed-set generators read that view instead
-of rebuilding it; no per-cell closure tuple is kept, as closure(),
-all_closed_sets and closure_masks() read the closure block of the offset
-masks.  The metric checks (validate here; the directed-system, three-copy
-and cover-radius checks in tower) walk only the stored distances, validate
-and the cover radius through the neighbour lists, so they cost O(stored
-pairs) rather than O(cells²).
+radius r, the offset masks of the near relation (the cells strictly within
+r).  Every relation between cells that closure, interior, open_hull,
+expansion, definability and the closed-set generators read comes from those
+offset masks; interior is the complement of the closure of the complement.
+The metric checks (validate here; the directed-system, three-copy and
+cover-radius checks in tower) walk only the stored distances, validate and
+the cover radius through the neighbour lists, so they cost O(stored pairs)
+rather than O(cells²).
 
 A view is made in one of three ways.  A space built directly from min_open
 (tests, build_W's base) is walked cell by cell.  The one-gate template of
@@ -48,8 +48,8 @@ with d3 = d | d << n | d << 2n one shift and OR per offset gives all three.
 Cells of a gate complex are numbered copy by copy, so its neighbourhoods use
 few offsets (40 for one gate at every pitch, 6 to 7 per gate once soldered):
 a check costs O(offsets * n / 64) words however many cells d holds.  The
-closure and minimal-open masks are built with the view, the near block once
-per threshold r0.
+closure and minimal-open masks are built with the view; the near block is
+the near relation at r0, the same offset masks that expand reads.
 
 enumerate_definable judges its pool in packs: G = _PACK_BITS // stride slots
 of stride bits (3n rounded up to whole bytes) in one int, judged by one kernel
@@ -140,7 +140,11 @@ class DiscreteSpace:
 
     def closure_masks(self) -> tuple[int, ...]:
         """cl({x}) per cell: everything whose minimal open contains x, read
-        off the closure block of the view's offset masks."""
+        off the closure block of the view's offset masks.
+
+        The tuple is rebuilt on every call, walking every offset mask, so a
+        caller that indexes it in a loop takes it once before the loop.
+        """
         full = self.full_mask
         cl = [1 << x for x in range(self.n)]
         for k, up, down in _view(self).pairs:
@@ -182,7 +186,7 @@ class _View:
             keyed.setdefault(d.numerator * (one // d.denominator), d)
         self.values = tuple(keyed[k] for k in sorted(keyed))
         self._adj = None  # per-cell stored neighbours, built on first use
-        self._near: dict = {}  # count of distance values below r -> masks
+        self._near: dict = {}  # count of distance values below r -> near pairs
         self._floors: dict = {}  # count of values <= r_min -> kernel entry
         self._floor = self._entry = None  # the last floor asked for, and its entry
 
@@ -196,17 +200,19 @@ class _View:
             self._adj = tuple(map(tuple, adj))
         return self._adj
 
-    def near(self, s: DiscreteSpace, r: Fraction) -> tuple[int, ...]:
-        """Per cell, the other cells strictly within r of it."""
+    def near(self, s: DiscreteSpace, r: Fraction) -> tuple:
+        """The cells strictly within r of each other, as offset pairs (see
+        _pairs): M_k holds the cells a with a + k within r of a."""
         key = bisect_left(self.values, r)
-        masks = self._near.get(key)
-        if masks is None:
-            near = [0] * s.n
-            for a, b in _stored_below(s, r):
-                near[a] |= 1 << b
-                near[b] |= 1 << a
-            masks = self._near[key] = tuple(near)
-        return masks
+        pairs = self._near.get(key)
+        if pairs is None:
+            # distances share their Fractions, so each object is compared once
+            below = {id(d) for d in {id(d): d for d in s.dist.values()}.values() if d < r}
+            table: dict = {}
+            for k, m in _rows((p for p, d in s.dist.items() if id(d) in below), s.n).items():
+                _add_both_ways(table, k, m, 0, 0)
+            pairs = self._near[key] = _pairs(table)
+        return pairs
 
     def kernel(self, s: DiscreteSpace, r_min) -> tuple:
         """The smallest threshold r0 above r_min, and the offset masks of
@@ -226,23 +232,13 @@ class _View:
             r0 = vals[i] if i < len(vals) and vals[i] <= 1 else None
             table = dict(self.offsets)
             if r0 is not None:
-                rows = defaultdict(list)  # offset k -> cells a with a + k near a
-                for a, b in _stored_below(s, r0):
-                    if a != b:
-                        rows[b - a].append(a)
-                n = s.n
-                for k, xs in rows.items():
-                    _add_both_ways(table, k, _mask(xs, n), 2 * n, 2 * n)
+                at = 2 * s.n
+                for k, up, down in self.near(s, r0):
+                    table[k] = table.get(k, 0) | up << at
+                    table[-k] = table.get(-k, 0) | down << at
             entry = self._floors[i] = (r0, _pairs(table))
         self._floor, self._entry = r_min, entry
         return entry
-
-
-def _stored_below(s: DiscreteSpace, r: Fraction) -> list:
-    """The keys of the stored distances below r, in the order of s.dist.
-    Distances share their Fractions, so each object is compared once."""
-    below = {id(d) for d in {id(d): d for d in s.dist.values()}.values() if d < r}
-    return [key for key, d in s.dist.items() if id(d) in below]
 
 
 def _mask(positions, width: int) -> int:
@@ -287,14 +283,18 @@ def _view(s: DiscreteSpace) -> _View:
     return v
 
 
+def _rows(pairs, n: int) -> dict:
+    """Offset k -> the mask of the cells y with (y, y + k) among pairs, k != 0."""
+    rows = defaultdict(list)
+    for y, x in pairs:
+        if x != y:
+            rows[x - y].append(y)
+    return {k: _mask(ys, n) for k, ys in rows.items()}
+
+
 def _walked_rows(s: DiscreteSpace) -> dict:
     """The minimal-open relation by offset (see _View), cell by cell."""
-    rows = defaultdict(list)  # offset k -> cells y with y + k in min_open(y)
-    for y in range(s.n):
-        for x in bits(s.min_open[y]):
-            if x != y:
-                rows[x - y].append(y)
-    return {k: _mask(ys, s.n) for k, ys in rows.items()}
+    return _rows(((y, x) for y in range(s.n) for x in bits(s.min_open[y])), s.n)
 
 
 def compiled(s: DiscreteSpace, rows: dict) -> DiscreteSpace:
@@ -336,7 +336,15 @@ def validate(s: DiscreteSpace) -> list[str]:
         diags.append("cell ids are not dense 0..n-1")
     if s.resolution <= 0:
         diags.append(f"resolution {s.resolution} is not positive")
-    for i in range(s.n):
+    # a minimal-open table or a key naming no cell stops the walks below,
+    # which index min_open (the neighbour lists through the view)
+    stray = [i for i, m in enumerate(s.min_open) if m >> s.n]  # negative masks too
+    unindexable = len(s.min_open) != s.n or bool(stray)
+    if len(s.min_open) != s.n:
+        diags.append("min_open table size mismatch")
+    else:
+        diags += [f"min_open({i}) names a cell outside 0..{s.n - 1}" for i in stray]
+    for i in range(s.n) if not unindexable else ():
         if not s.min_open[i] >> i & 1:
             diags.append(f"min_open({i}) does not contain {i}")
         for y in bits(s.min_open[i]):
@@ -345,7 +353,6 @@ def validate(s: DiscreteSpace) -> list[str]:
                     f"Alexandrov base violated: {y} in min_open({i}) but "
                     f"min_open({y}) is not contained in it"
                 )
-    unindexable = False  # a key naming no cell stops the walks below
     for (a, b), d in s.dist.items():
         if not (0 <= a < b < s.n):
             diags.append(f"bad distance key ({a},{b})")
@@ -381,16 +388,28 @@ def validate(s: DiscreteSpace) -> list[str]:
     return diags
 
 
+def _in_space(s: DiscreteSpace, a: int) -> int:
+    """a, once it is known to be a mask of cells of s; else ValueError."""
+    if a >> s.n:  # also nonzero for a negative mask
+        raise ValueError(f"cell mask out of range: need 0 <= mask < 2**{s.n}")
+    return a
+
+
 def closure(s: DiscreteSpace, a: int) -> int:
-    return a | _spread(a, _view(s).pairs)
+    """The cells whose minimal open meets a."""
+    return a | _spread(_in_space(s, a), _view(s).pairs)
 
 
 def interior(s: DiscreteSpace, a: int) -> int:
-    out = 0
-    for x in bits(a):
-        if s.min_open[x] & ~a == 0:
-            out |= 1 << x
-    return out
+    """The cells whose minimal open lies inside a: int A = X - cl(X - A)."""
+    return a & ~closure(s, _in_space(s, a) ^ s.full_mask)
+
+
+def open_hull(s: DiscreteSpace, a: int) -> int:
+    """The union of the minimal opens of the cells of a, the smallest open
+    set holding a, read off the minimal-open block of the offset masks."""
+    n = s.n
+    return a | _spread(_in_space(s, a) << n, _view(s).pairs) >> n
 
 
 def is_closed(s: DiscreteSpace, a: int) -> bool:
@@ -398,25 +417,15 @@ def is_closed(s: DiscreteSpace, a: int) -> bool:
 
 
 def is_open(s: DiscreteSpace, a: int) -> bool:
-    return interior(s, a) == a
+    return open_hull(s, a) == a
 
 
 def expand(s: DiscreteSpace, a: int, r: Fraction) -> int:
     """The open r-expansion: cells strictly within r of the set."""
     if r <= 0:
         raise ValueError("expansion radius must be positive")
-    if r > 1:
-        return s.full_mask
-    out = a
-    near = _view(s).near(s, r)
-    for x in bits(a):
-        out |= near[x]
-    return out
-
-
-def near_masks(s: DiscreteSpace, r: Fraction) -> tuple[int, ...]:
-    """Per cell, the other cells strictly within r of it (cached per radius)."""
-    return _view(s).near(s, r)
+    _in_space(s, a)
+    return s.full_mask if r > 1 else a | _spread(a, _view(s).near(s, r))
 
 
 def thresholds(s: DiscreteSpace, r_min: Fraction) -> list[Fraction]:
@@ -431,9 +440,8 @@ def _failure(s: DiscreteSpace, d: int, r_min: Fraction):
     closed, or (r0, bad) when d fails containment at the smallest threshold
     r0: bad holds the cells of U(d) outside d | N(d)."""
     r0, pairs = _view(s).kernel(s, r_min)
+    _in_space(s, d)
     n = s.n
-    if d >> n:  # also nonzero for a negative mask
-        raise ValueError(f"cell mask out of range: need 0 <= mask < 2**{n}")
     full = (1 << n) - 1
     if d == 0 or d == full:
         return None
@@ -466,7 +474,7 @@ def why_not_definable(s: DiscreteSpace, d: int, r_min: Fraction) -> str | None:
     r, where = fail
     if r is None:
         return f"not closed: missing cells {members(where)}"
-    hit = d & _spread(where, _view(s).kernel(s, r_min)[1])
+    hit = d & closure(s, where)
     cell = (hit & -hit).bit_length() - 1
     return f"fails containment in int(expand) at threshold {r} (cell {cell})"
 
@@ -688,7 +696,7 @@ def _placed_rows(n: int, old_to_new, placed) -> dict:
             cls = classes[key] = (v, p.n, [])
         cls[2].append((start, [sh for _, _, sh in runs]))
     rows: dict = defaultdict(int)  # offset k -> placed mask
-    loose = defaultdict(list)  # offset k -> new cells y of crossing pairs
+    loose = []  # the crossing pairs (y, x), in new ids
     for (_, bounds), (v, size, members) in classes.items():
         spots = []  # per run: the least shift, and one bit per member's shift above it
         for shifts in zip(*(shs for _, shs in members)):
@@ -709,12 +717,9 @@ def _placed_rows(n: int, old_to_new, placed) -> dict:
                     rows[k] |= spread << least if least >= 0 else spread >> -least
             crossing += [(y, y + k) for y in bits(row & ~inside)]
         for start, _ in members:
-            for y, x in crossing:
-                ny, nx = old_to_new[start + y], old_to_new[start + x]
-                if ny != nx:
-                    loose[nx - ny].append(ny)
-    for k, ys in loose.items():
-        rows[k] |= _mask(ys, n)
+            loose += [(old_to_new[start + y], old_to_new[start + x]) for y, x in crossing]
+    for k, m in _rows(loose, n).items():
+        rows[k] |= m
     return rows
 
 
@@ -743,9 +748,8 @@ def enumerate_definable(
     pool = list(islice(candidates, budget + 1))
     if len(pool) > budget:
         raise BudgetExceeded(f"candidates exceed the budget of {budget}")
+    _in_space(s, min(pool, default=0) | max(pool, default=0))  # both in s iff their OR is
     n = s.n
-    if pool and (min(pool) < 0 or max(pool) >> n):
-        raise ValueError(f"cell mask out of range: need 0 <= mask < 2**{n}")
     size = (3 * n + 7) // 8 or 1  # bytes per slot; a 0-cell space still gets one
     stride = 8 * size
     g = max(1, min(_PACK_BITS // stride, len(pool)))  # slots per pack

@@ -15,7 +15,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import finspace
-from .finspace import BudgetExceeded, Cell, DiscreteSpace, bits
+# bits is no longer called here, but perfbench's tracer test reads gate.bits
+from .finspace import BudgetExceeded, Cell, DiscreteSpace, bits  # noqa: F401
 
 
 class GateState(NamedTuple):
@@ -409,14 +410,14 @@ def oracle(
     negative, NoThreshold when it leaves no threshold (every closed set passes).
 
     finspace's test U(d) & ~(d | N(d)) == 0 at the binding threshold r0 is
-    necessary, and U (the union of minimal opens) and N (the cells within r0)
-    of a union are the unions of its parts'.  So per-edge U and N masks are
-    combined next to the closures, an edge subset survives when
-    U & ~(base | N) == 0, and a free vertex v is addable to it when
-    min_open[v] & ~(base | N | 1 << v) == 0: extra vertices are 0-cells,
-    whose witness distances live on same-x 1-cell pairs fixed by the edge
-    choice.  Every union of a survivor with addable vertices is confirmed
-    with is_definable.
+    necessary, and U (the union of minimal opens, open_hull) and d | N (the
+    cells within r0 of d, expand) of a union are the unions of its parts'.
+    So each edge's U and expansion are combined next to the closures, an
+    edge subset with union base survives when U & ~(base | N) == 0, and a
+    free vertex v is addable to it when min_open[v] & ~(base | N | 1 << v)
+    == 0: extra vertices are 0-cells, whose witness distances live on same-x
+    1-cell pairs fixed by the edge choice.  Every union of a survivor with
+    addable vertices is confirmed with is_definable.
     """
     if r_min is None:
         r_min = dc.r_min
@@ -424,20 +425,12 @@ def oracle(
     binding = finspace.thresholds(s, r_min)
     if not binding:
         raise NoThreshold(r_min)
-    near = finspace.near_masks(s, binding[0])
-    closures, ups, nears = [], [], []
-    for e in dc.edges:
-        u = nb = 0
-        for c in bits(e.closure_mask):
-            u |= s.min_open[c]
-            nb |= near[c]
-        closures.append(e.closure_mask)
-        ups.append(u)
-        nears.append(nb)
-    size, pinneds, bases, us, ns = _edge_table(dc, budget, closures, ups, nears)
+    closures = [e.closure_mask for e in dc.edges]
+    ups = [finspace.open_hull(s, c) for c in closures]
+    grown = [finspace.expand(s, c, binding[0]) for c in closures]
+    size, pinneds, bases, us, covers = _edge_table(dc, budget, closures, ups, grown)
     definable = []
-    for pinned, base, u, nb in zip(pinneds, bases, us, ns):
-        covered = base | nb
+    for pinned, base, u, covered in zip(pinneds, bases, us, covers):
         if u & ~covered:
             continue
         addable = [

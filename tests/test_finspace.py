@@ -71,6 +71,25 @@ class TestValidate:
         ]
 
 
+class TestMinOpenTableChecked:
+    """validate reports a minimal-open table it cannot index, and walks
+    neither it nor, through the view, the neighbour lists."""
+
+    @pytest.mark.parametrize("min_open", [(1, 2, 4), (1,)], ids=["longer", "shorter"])
+    def test_size_mismatch(self, min_open):
+        s = DiscreteSpace((Cell(0, 0), Cell(1, 0)), min_open, {(0, 1): F(1, 2)})
+        assert fs.validate(s) == ["min_open table size mismatch"]
+        assert s._compiled is None
+
+    @pytest.mark.parametrize("mask", [0b11, -1], ids=["above", "negative"])
+    def test_minimal_open_outside_cells(self, mask):
+        s = DiscreteSpace((Cell(0, 0),), (mask,), {})
+        assert fs.validate(s) == ["min_open(0) names a cell outside 0..0"]
+        s = DiscreteSpace((Cell(0, 0), Cell(1, 0)), (1, mask << 1), {(0, 1): F(1, 2)})
+        assert fs.validate(s) == ["min_open(1) names a cell outside 0..1"]
+        assert s._compiled is None
+
+
 class TestClosureInterior:
     def test_whole_space(self):
         s = edge_with_ends()
@@ -242,6 +261,17 @@ class TestKernelMatchesDefinition:
             assert fs.is_definable(s, d, r_min) == (want is None)
 
 
+def cells_within(s, r):
+    """Per cell, the other cells strictly within r, asked of s.distance: an
+    unstored pair is at distance 1, so the stored keys name every candidate."""
+    near = [0] * s.n
+    for a, b in s.dist:
+        if s.distance(a, b) < r:
+            near[a] |= 1 << b
+            near[b] |= 1 << a
+    return near
+
+
 def packed_kernel(s, r_min):
     """The packed kernel table as it was before the offset masks, uncached:
     the smallest threshold above r_min, and per cell the packed mask
@@ -249,7 +279,7 @@ def packed_kernel(s, r_min):
     vals = fs._view(s).values
     i = bisect_right(vals, r_min)
     r0 = vals[i] if i < len(vals) and vals[i] <= 1 else None
-    near = fs.near_masks(s, r0) if r0 is not None else (0,) * s.n
+    near = cells_within(s, r0) if r0 is not None else (0,) * s.n
     n = s.n
     table = tuple(
         c | m << n | a << 2 * n
@@ -379,6 +409,21 @@ class TestMaskOutsideSpaceRefused:
             with pytest.raises(ValueError, match=rf"0 <= mask < 2\*\*{s.n}"):
                 check(s, d, F(1, 2))
 
+    @pytest.mark.parametrize("which", ["above", "negative", "above-and-inside"])
+    def test_relations(self, which):
+        # closure once gave bits above the space (so is_closed said False)
+        # and -1 for -1; interior and expand raised IndexError
+        s = gate.discretize(3).space
+        d = {"above": 1 << s.n, "negative": -1, "above-and-inside": 1 << s.n | 1}[which]
+        relations = (
+            fs.closure, fs.interior, fs.open_hull, fs.is_closed, fs.is_open,
+            lambda s, d: fs.expand(s, d, F(1, 3)),
+            lambda s, d: fs.expand(s, d, F(3, 2)),
+        )
+        for relation in relations:
+            with pytest.raises(ValueError, match=rf"0 <= mask < 2\*\*{s.n}"):
+                relation(s, d)
+
     @pytest.mark.parametrize("at", ["first", "middle", "last"])
     @pytest.mark.parametrize("which", ["above", "negative"])
     def test_refused_from_a_pool(self, which, at):
@@ -403,6 +448,69 @@ class TestRandomClosedSets:
         got = fs.random_closed_sets(s, 25, seed)
         assert got == parent_random_closed_sets(s, 25, seed)
         assert all(fs.is_closed(s, d) for d in got)
+
+
+def literal_near(s, r):
+    """Per cell, the cells strictly within r of it (itself included), asking
+    s.distance of every pair."""
+    return [fs.cellset(y for y in range(s.n) if s.distance(x, y) < r) for x in range(s.n)]
+
+
+def cell_by_cell(s, d, near):
+    """closure, interior, open_hull and expand of d from their per-cell
+    definitions: near maps each radius to its cells_within table."""
+    closure = fs.cellset(y for y in range(s.n) if s.min_open[y] & d)
+    interior = fs.cellset(x for x in fs.bits(d) if not s.min_open[x] & ~d)
+    hull = d
+    grown = dict.fromkeys(near, d)
+    for x in fs.bits(d):
+        hull |= s.min_open[x]
+        for r, table in near.items():
+            grown[r] |= table[x]
+    return closure, interior, hull, grown
+
+
+def relations_of(s, d, radii):
+    return (fs.closure(s, d), fs.interior(s, d), fs.open_hull(s, d),
+            {r: fs.expand(s, d, r) for r in radii})
+
+
+def radii_of(values):
+    """Each distance value in (0, 1], and one radius between each two and
+    below the least, given the sorted values with 0 and 1 among them."""
+    return [r for p, q in zip(values, values[1:]) for r in ((p + q) / 2, q)]
+
+
+class TestRelationsMatchCellByCell:
+    """closure, interior, open_hull and expand, read off the offset masks,
+    against their per-cell definitions from min_open and s.distance."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_spaces())
+    def test_every_mask(self, s):
+        pairs = itertools.product(range(s.n), repeat=2)
+        radii = radii_of(sorted({s.distance(x, y) for x, y in pairs} | {F(1)}))
+        near = {r: cells_within(s, r) for r in radii}
+        for r, table in near.items():
+            assert [m | 1 << x for x, m in enumerate(table)] == literal_near(s, r)
+        for d in range(1 << s.n):
+            assert relations_of(s, d, radii) == cell_by_cell(s, d, near), bin(d)
+
+    @pytest.mark.parametrize("build", [
+        *(lambda n=n, b=b: b(n).space for b in (gate.discretize, gate.discretize_dagger)
+          for n in (2, 3, 8, 32)),
+        lambda: cc.discretize(cc.build_minimal(oc.n5()), 4).space,  # four gates
+        lambda: w_case()[0],
+    ], ids=[*(f"{v}{n}" for v in ("plain", "dagger") for n in (2, 3, 8, 32)),
+            "n5-minimal", "W"])
+    def test_seeded_masks(self, build):
+        s = build()
+        radii = radii_of(sorted({F(0), F(1), *s.dist.values()}))
+        near = {r: cells_within(s, r) for r in radii}
+        pool = [0, s.full_mask, *seeded_masks(s, 12, seed=s.n)]
+        pool += fs.random_closed_sets(s, 4, seed=s.n)
+        for d in pool:
+            assert relations_of(s, d, radii) == cell_by_cell(s, d, near), bin(d)
 
 
 def all_pairs_validate(s):
