@@ -421,11 +421,15 @@ def is_open(s: DiscreteSpace, a: int) -> bool:
 
 
 def expand(s: DiscreteSpace, a: int, r: Fraction) -> int:
-    """The open r-expansion: cells strictly within r of the set."""
+    """The open r-expansion: cells strictly within r of the set.  Distances
+    are at most 1, so past 1 a nonempty set reaches everything; the empty
+    set stays empty at every radius."""
     if r <= 0:
         raise ValueError("expansion radius must be positive")
     _in_space(s, a)
-    return s.full_mask if r > 1 else a | _spread(a, _view(s).near(s, r))
+    if r > 1:
+        return s.full_mask if a else 0
+    return a | _spread(a, _view(s).near(s, r))
 
 
 def thresholds(s: DiscreteSpace, r_min: Fraction) -> list[Fraction]:

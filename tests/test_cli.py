@@ -269,6 +269,13 @@ class TestTower:
         assert limit["contains_infinity"]["top"] is True
         assert limit["contains_infinity"]["D_1"] is False
 
+    def test_long_reverse_limit(self, capsys):
+        # the off-sets of 801 nodes are the empty set and the down-sets {x0..xj}
+        code, rep = run(capsys, "tower", "--kind", "reverse", "--n", "800", "--limit")
+        assert code == 0
+        assert rep["results"]["definables"] == 802
+        assert rep["results"]["restriction_coherent"] is True
+
     def test_zero_exits_2(self, capsys):
         code, _ = run(capsys, "tower", "--n", "0")
         assert code == 2

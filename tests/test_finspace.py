@@ -112,6 +112,13 @@ class TestExpand:
         s = crisp_points(3)
         assert fs.expand(s, 0b001, F(3, 2)) == 0b111
 
+    def test_empty_set_stays_empty_past_one(self):
+        # past radius 1 a nonempty set reaches every cell, the empty set none
+        s = fs.coproduct(fs.point_space(), fs.point_space())
+        assert fs.expand(s, 0, F(1)) == 0
+        assert fs.expand(s, 0, F(3, 2)) == 0
+        assert fs.expand(crisp_points(3), 0, F(7)) == 0
+
     def test_diamond_partner_strictness(self):
         dg = gate.discretize(2)
         ur_half = next(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcirc import order_core as oc
+from latcirc import tower
 
 
 def brute_filters(m, include_empty=False):
@@ -381,10 +382,10 @@ def test_generated_filter_is_smallest(p):
 
 
 @st.composite
-def horn_systems(draw):
-    """Random rule sets over up to eight elements: one- and two-premise rules
-    (a == b or not), multi-bit heads, and the empty rule set."""
-    n = draw(st.integers(min_value=0, max_value=8))
+def horn_systems(draw, max_n=8):
+    """Random rule sets over up to ``max_n`` elements: one- and two-premise
+    rules (a == b or not), multi-bit heads, and the empty rule set."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
     if n == 0:
         return 0, []
     elem = st.integers(min_value=0, max_value=n - 1)
@@ -414,3 +415,105 @@ def test_closed_sets_match_a_full_scan(system):
             if s & ~t == 0:
                 least &= t
         assert close(s) == least
+
+
+def next_closure(n, close):
+    """Reference: Ganter's Next-Closure, as ``closed_sets`` was before FCbO."""
+    a = close(0)
+    out = [a]
+    while True:
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if a & bit:
+                a &= ~bit
+                continue
+            b = close(a | bit)
+            if not (b & ~a) & (bit - 1):
+                a = b
+                out.append(a)
+                break
+        else:
+            return out
+
+
+def gate_closure(c):
+    return oc.horn_closure(c.n, [(i, j, 1 << k) for i, j, k in c.gates])
+
+
+def seeded_semilattices():
+    """Meet-semilattices of 16 to 24 elements: random intersection-closed
+    families of subsets of ten points ordered by inclusion, each with and
+    without the full set."""
+    import random
+
+    rng = random.Random(29)
+    full = (1 << 10) - 1
+    out = []
+    for size in (17, 19, 21, 24):
+        while True:
+            fam = {full}
+            while len(fam) < size:
+                new = rng.randrange(full)
+                fam |= {new} | {new & m for m in fam}
+            if len(fam) == size:
+                break
+        masks = sorted(fam)
+        lat = oc.inclusion_lattice([f"s{m}" for m in masks], masks)
+        out.append(pytest.param(lat, id=f"lattice{size}"))
+        rest = masks[:-1]
+        up = tuple(sum(1 << j for j, b in enumerate(rest) if a & ~b == 0) for a in rest)
+        m = oc.as_meet_semilattice(oc.Poset(tuple(f"s{m}" for m in rest), up))
+        out.append(pytest.param(m, id=f"semilattice{size - 1}"))
+    return out
+
+
+class TestClosedSetsMatchNextClosure:
+    """``closed_sets`` returns Next-Closure's list, in its order, on every
+    kind of closure system its callers build."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(horn_systems(max_n=12))
+    def test_random_horn_systems(self, system):
+        n, rules = system
+        close = oc.horn_closure(n, rules)
+        assert oc.closed_sets(n, close) == next_closure(n, close)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 100, 400])
+    @pytest.mark.parametrize("kind", list(tower.TowerKind), ids=lambda k: k.name)
+    def test_tower_truncations(self, kind, n):
+        c = tower.truncate(kind, n)
+        close = gate_closure(c)
+        assert oc.closed_sets(c.n, close) == next_closure(c.n, close)
+
+    @pytest.mark.parametrize("m", seeded_semilattices())
+    def test_filter_closures(self, m):
+        assert 16 <= m.n <= 24
+        close = oc._filter_closure(m)
+        assert oc.closed_sets(m.n, close) == next_closure(m.n, close)
+
+    def test_lattice_corpus(self, monkeypatch):
+        # the corpus keeps the first lattice of each class it meets, so its
+        # labels follow the enumeration order
+        real = oc.all_lattices_up_to_iso(7)
+        monkeypatch.setattr(oc, "closed_sets", next_closure)
+        reference = oc.all_lattices_up_to_iso(7)
+        assert len(real) == len(reference) == 53
+        for got, want in zip(real, reference):
+            assert got == want
+
+
+@pytest.mark.parametrize("kind", list(tower.TowerKind), ids=lambda k: k.name)
+def test_closed_sets_work_is_linear_on_towers(kind):
+    # each closed set costs at most one canonical and one failed closure
+    c = tower.truncate(kind, 400)
+    close = gate_closure(c)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return close(*args)
+
+    found = oc.closed_sets(c.n, counted)
+    assert len(found) == c.n + 1
+    assert calls <= 2 * c.n
