@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -444,8 +445,6 @@ def seeded_semilattices():
     """Meet-semilattices of 16 to 24 elements: random intersection-closed
     families of subsets of ten points ordered by inclusion, each with and
     without the full set."""
-    import random
-
     rng = random.Random(29)
     full = (1 << 10) - 1
     out = []
@@ -454,16 +453,16 @@ def seeded_semilattices():
             fam = {full}
             while len(fam) < size:
                 new = rng.randrange(full)
-                fam |= {new} | {new & m for m in fam}
+                fam |= {new} | {new & x for x in fam}
             if len(fam) == size:
                 break
         masks = sorted(fam)
-        lat = oc.inclusion_lattice([f"s{m}" for m in masks], masks)
+        lat = oc.inclusion_lattice([f"s{x}" for x in masks], masks)
         out.append(pytest.param(lat, id=f"lattice{size}"))
         rest = masks[:-1]
         up = tuple(sum(1 << j for j, b in enumerate(rest) if a & ~b == 0) for a in rest)
-        m = oc.as_meet_semilattice(oc.Poset(tuple(f"s{m}" for m in rest), up))
-        out.append(pytest.param(m, id=f"semilattice{size - 1}"))
+        semi = oc.as_meet_semilattice(oc.Poset(tuple(f"s{x}" for x in rest), up))
+        out.append(pytest.param(semi, id=f"semilattice{size - 1}"))
     return out
 
 
@@ -504,7 +503,7 @@ class TestClosedSetsMatchNextClosure:
 
 @pytest.mark.parametrize("kind", list(tower.TowerKind), ids=lambda k: k.name)
 def test_closed_sets_work_is_linear_on_towers(kind):
-    # each closed set costs at most one canonical and one failed closure
+    # on the towers the walk makes at most two closures per closed set
     c = tower.truncate(kind, 400)
     close = gate_closure(c)
     calls = 0
