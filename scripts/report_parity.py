@@ -40,8 +40,9 @@ each with and without `--max-candidates 10`.  They also run
   `--limit`, and `--n 50|200 --limit`, plus `--kind forward|exact-pair
   --n 400 --limit` and `--kind reverse --n 75|100 --limit`: every size the
   benchmark's `truncation` workload runs; and the long chains
-  `--kind reverse --n 400 --limit` and `--kind forward|exact-pair --n 800
-  --limit`,
+  `--kind reverse --n 400 --limit`, `--kind forward|exact-pair --n 800
+  --limit`, `--kind forward --n 2000 --limit` and `--kind exact-pair
+  --n 4000 --limit`,
 - `verify-lattice --presentation full` on the lattices of 6 to 16 elements
   that the benchmark's `lattice` workload draws from seed 1,
 - `y0 --k 1` to `--k 6` on the meet-semilattices that the `truncation`
@@ -300,7 +301,8 @@ def main() -> int:
             for n in (50, 200):
                 runs.append(["tower", "--kind", kind, "--n", str(n), "--limit"])
         for kind, n in (("forward", 400), ("exact-pair", 400), ("reverse", 75), ("reverse", 100),
-                        ("reverse", 400), ("forward", 800), ("exact-pair", 800)):
+                        ("reverse", 400), ("forward", 800), ("exact-pair", 800),
+                        ("forward", 2000), ("exact-pair", 4000)):
             runs.append(["tower", "--kind", kind, "--n", str(n), "--limit"])
         bench = Path(tmp) / "bench"
         for workload, seed in (("lattice", 1), ("truncation", 1)):

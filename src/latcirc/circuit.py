@@ -348,12 +348,13 @@ def check_factorization(dc, one_gate, r_min: Fraction) -> None:
 @dataclass(frozen=True)
 class CircuitOracle:
     patterns: tuple[int, ...]  # in tuple order, one per glued node assignment
-    definables: int  # glued sets: one definable set chosen per gate copy
-    refuted: tuple[int, ...]  # complex cell sets on which full is_definable disagrees
+    definables: int  # glued sets: one saturated definable set chosen per gate copy
+    refuted: tuple[int, ...]  # rejected glued sets; definable probes with no glued pattern
 
 
 def oracle(c: Circuit, n: int, budget: int) -> CircuitOracle:
-    """Definable sets of the discretized circuit, glued from the plain gate's.
+    """Node assignments of the discretized circuit's definable sets, glued
+    from the plain gate's terminal patterns.
 
     Why gluing is sound: build_complex lays its gate copies side by side
     with finspace.coproduct, which puts every pair of cells from different
@@ -367,15 +368,21 @@ def oracle(c: Circuit, n: int, budget: int) -> CircuitOracle:
     its definable sets are the plain gate's sets that agree on them.  Hence
     the definable sets of the complex are the consistent choices of one
     plain-gate definable set per copy, and a node in no gate is a free point
-    with patterns {0, 1}.  So gate.oracle runs once, on gate.discretize(n),
-    and raises gate.NoThreshold when the floor 2/n leaves no threshold.
+    with patterns {0, 1}.  gate.oracle runs once, on gate.discretize(n), and
+    raises gate.NoThreshold when the floor 2/n leaves no threshold.  It
+    searches only the saturated family, which holds one definable set per
+    allowed pattern but misses most of the plain gate's definable sets, so
+    ``definables`` counts choices of saturated sets.  The glued patterns are
+    the complex's as long as every definable set of the plain gate shows an
+    allowed terminal pattern: the verdicts rest on that.
 
     check_factorization asserts these preconditions on the assembled
     complex.  Each glued set is then mapped onto the complex's cells through
     the copies' shared pre-solder numbering and confirmed with full
-    is_definable, and SPOT_PROBES seeded random closed sets outside the glue
-    must fail it; disagreements are returned in ``refuted``.  A circuit with
-    no gates needs no complex: each of its nodes is a free point.
+    is_definable, and SPOT_PROBES seeded random closed sets that it accepts
+    must show a glued node assignment; disagreements are returned in
+    ``refuted``.  A circuit with no gates needs no complex: each of its
+    nodes is a free point.
     """
     if n < 2:
         raise ValueError(f"subdivision n must be >= 2, got {n}")
@@ -409,18 +416,17 @@ def oracle(c: Circuit, n: int, budget: int) -> CircuitOracle:
         (i, dc.terminals[node]) for i, node in enumerate(c.nodes) if i not in gated
     ]
     refuted = []
-    sets = set()
     for a in patterns:
         partial = [sum(1 << cell for i, cell in free if a >> i & 1)]
         for (i, j, k), by_pattern in lifted:
             options = by_pattern[a >> i & 1, a >> j & 1, a >> k & 1]
             partial = [m | o for m in partial for o in options]
         for d in partial:
-            sets.add(d)
             if not finspace.is_definable(dc.space, d, r_min):
                 refuted.append(d)
+    shown = {spell(a, c.n) for a in patterns}
     for d in finspace.random_closed_sets(dc.space, SPOT_PROBES, SPOT_SEED):
-        if d not in sets and finspace.is_definable(dc.space, d, r_min):
+        if finspace.is_definable(dc.space, d, r_min) and dc.pattern(d) not in shown:
             refuted.append(d)
     return CircuitOracle(patterns, definables, tuple(refuted))
 

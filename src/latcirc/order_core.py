@@ -231,6 +231,57 @@ def inclusion_lattice(labels, masks) -> FiniteLattice:
 # Horn closure systems
 
 
+def _walk(x: int, single: list[int], two: int, walked: int) -> int:
+    """Replace ``single[x]`` by the reach of the lone element x, and likewise
+    for every lone element the walk finishes; return the new walked mask.
+
+    A successor of v is a lone element of ``single[v]`` other than v.  A
+    walked one has its reach ORed in.  One whose heads already lie in v's
+    reach so far is skipped: every lone element whose bit enters a reach
+    has its own heads added by the time the walk finishes, so the skipped
+    element's reach is inside v's.  The rest are walked depth first with
+    Tarjan's (1972) low links, so that every member of a one-premise cycle
+    gets the reach of the whole cycle, and each finished element keeps its
+    reach.
+    """
+    # Tarjan's stack is the dict of visited elements that no finished cycle
+    # holds yet, in visit order; an element's index is its place in it
+    index = {x: 0}
+    stack = []
+    v, own, low = x, 0, 0
+    acc = single[x] | 1 << x
+    succ = acc & ~two & ~(1 << x)
+    while True:
+        if succ:
+            bit = succ & -succ
+            succ ^= bit
+            w = bit.bit_length() - 1
+            if bit & walked:
+                acc |= single[w]
+            elif w in index:
+                if index[w] < low:
+                    low = index[w]
+            elif single[w] & ~acc:
+                stack.append((v, succ, acc, low, own))
+                index[w] = own = low = len(index)
+                v, acc = w, single[w] | bit
+                succ = acc & ~two & ~bit
+            continue
+        if low == own:
+            while True:
+                w = index.popitem()[0]
+                single[w] = acc
+                walked |= 1 << w
+                if w == v:
+                    break
+        if not stack:
+            return walked
+        v, succ, above, up_low, own = stack.pop()
+        acc |= above
+        if up_low < low:
+            low = up_low
+
+
 def horn_closure(n: int, rules):
     """The closure operator of Horn rules over elements 0..n-1, on bitmasks.
 
@@ -241,6 +292,30 @@ def horn_closure(n: int, rules):
     todo)`` starts the worklist at ``todo`` instead of all of ``s``, which is
     sound when every rule whose premises lie in ``s & ~todo`` already holds:
     for a closed ``a``, ``close(a | bit, bit)`` looks at the new element only.
+
+    An element is *lone* when it is a premise of no two-premise rule, so all
+    it ever adds are its one-premise heads.  Its *reach* is the closure of
+    {x} under the one-premise rules, followed through lone elements only.
+    Once walking has begun, the first time the worklist takes a lone
+    element with heads, ``_walk`` stores its reach in place of its heads,
+    and the reach of every lone element the walk finishes.  A walked
+    element then adds its reach in one OR, and of the new elements only the
+    premises of two-premise rules go on the worklist.  That is sound
+    because every rule whose premises are lone elements of the reach is a
+    one-premise rule whose heads are in the reach already.  Dowling &
+    Gallier (1984, "Linear-time algorithms for testing the satisfiability
+    of propositional Horn formulae") make forward chaining linear by
+    following each implication once; here each one-premise implication
+    between lone elements is followed once per closure rather than once
+    per call, so the 2n or so calls that ``closed_sets`` makes on a chain
+    of n one-premise rules cost O(n) steps in all instead of O(n) each.
+
+    Walking begins once lone elements have taken 4n plain steps, as in ski
+    rental: a walk costs about four plain steps per element it visits, so
+    a closure whose calls stay short (a small poset, a minimal-presentation
+    candidate) never pays for one, and a closure on a long chain walks
+    after O(n) plain steps.  The reach table belongs to the closure and
+    starts empty.
     """
     single = [0] * n
     paired: list[dict[int, int]] = [{} for _ in range(n)]
@@ -251,21 +326,43 @@ def horn_closure(n: int, rules):
             paired[a][b] = paired[a].get(b, 0) | heads
             paired[b][a] = paired[b].get(a, 0) | heads
     paired_items = [tuple(d.items()) for d in paired]
+    two = -1  # the premises of two-premise rules as a mask, made at the first walk
+    walked = 0  # lone elements whose single[] entry is now their reach
+    plain = 4 * n  # plain steps of lone elements left before walking begins
 
     def close(s: int, todo: int | None = None) -> int:
+        nonlocal two, walked, plain
         if todo is None:
             todo = s
         while todo:
             low = todo & -todo
             todo ^= low
             x = low.bit_length() - 1
-            new = single[x]
-            for y, heads in paired_items[x]:
-                if s >> y & 1:
-                    new |= heads
-            new &= ~s
+            items = paired_items[x]
+            if items:
+                new = single[x]
+                for y, heads in items:
+                    if s >> y & 1:
+                        new |= heads
+                new &= ~s
+                s |= new
+                todo |= new
+                continue
+            if plain:
+                plain -= 1
+                new = single[x] & ~s
+                s |= new
+                todo |= new
+                continue
+            if not low & walked:
+                if not single[x] & ~low:
+                    continue
+                if two < 0:
+                    two = sum(1 << y for y, its in enumerate(paired_items) if its)
+                walked = _walk(x, single, two, walked)
+            new = single[x] & ~s
             s |= new
-            todo |= new
+            todo |= new & two
         return s
 
     return close

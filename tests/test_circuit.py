@@ -425,6 +425,31 @@ class TestFactorizedOracle:
         # the glued sets of (1, 1, 0) and (1, 1, 1) use the doctored set
         assert res.definables == 4 and len(res.refuted) == 2
 
+    def test_unsaturated_definable_probe_is_not_refuted(self, monkeypatch):
+        # a definable set outside the saturated family: the top lobe plus
+        # the lone 0-cell LL.v1, whose node assignment (1, 0, 0) is glued
+        c = cc.Circuit(("p", "q", "r"), ((0, 1, 2),))
+        dc = cc.discretize(c, 3)
+        lobe = gate.state_to_cells(dc, gate.GateState(1, 0, 0))
+        [ll] = [i for i, cell in enumerate(dc.space.cells) if cell.tag == "LL.v1"]
+        witness = lobe | 1 << ll
+        assert fs.is_definable(dc.space, witness, dc.r_min)
+        monkeypatch.setattr(fs, "random_closed_sets", lambda s, count, seed: [witness])
+        res = cc.oracle(c, 3, 1 << 20)
+        assert res.refuted == ()
+
+    def test_spot_probe_with_a_foreign_pattern_is_refuted(self, monkeypatch):
+        # drop the (1, 1, 1) assignment from the glue: the definable full
+        # set now shows a node assignment the glue lacks
+        c = cc.Circuit(("p", "q", "r"), ((0, 1, 2),))
+        dc = cc.discretize(c, 3)
+        real = cc.glue
+        monkeypatch.setattr(cc, "glue", lambda *args: real(*args)[:-1])
+        full = (1 << dc.space.n) - 1
+        monkeypatch.setattr(fs, "random_closed_sets", lambda s, count, seed: [full])
+        res = cc.oracle(c, 3, 1 << 20)
+        assert res.refuted == (full,)
+
     @pytest.mark.slow
     @pytest.mark.parametrize("gates", _two_gate_classes())
     def test_glue_matches_brute_force(self, gates):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from latcirc import circuit, cli, gate
+from latcirc import circuit, cli, finspace, gate
 from latcirc import order_core as oc
 
 N5 = {
@@ -250,6 +250,20 @@ class TestGateOracle:
         assert code == 0
         assert rep["results"]["probes"]["unexpected_definable"] == []
 
+    def test_unsaturated_definable_probe_passes(self, capsys, monkeypatch):
+        # the top lobe plus the lone 0-cell LL.v1 is definable but lies
+        # outside the saturated family; its pattern (1, 0, 0) is allowed
+        dc = gate.discretize(3)
+        lobe = gate.state_to_cells(dc, gate.GateState(1, 0, 0))
+        [ll] = [i for i, cell in enumerate(dc.space.cells) if cell.tag == "LL.v1"]
+        witness = lobe | 1 << ll
+        assert finspace.is_definable(dc.space, witness, dc.r_min)
+        assert witness not in gate.oracle(dc).definable
+        monkeypatch.setattr(finspace, "random_closed_sets", lambda s, count, seed: [witness])
+        code, rep = run(capsys, "gate-oracle", "--n", "3", "--probes", "1")
+        assert code == 0
+        assert rep["results"]["probes"]["unexpected_definable"] == []
+
 
 class TestTower:
     def test_forward_six(self, capsys):
@@ -275,6 +289,16 @@ class TestTower:
         assert code == 0
         assert rep["results"]["definables"] == 802
         assert rep["results"]["restriction_coherent"] is True
+
+    @pytest.mark.parametrize("kind, definables", [("exact-pair", 4004), ("forward", 4002)])
+    def test_long_chain_limit(self, capsys, kind, definables):
+        # lone chain nodes are closed through their memoized reach, so a
+        # 4,000-stage chain takes linear closure work (quadratic took 8 s)
+        code, rep = run(capsys, "tower", "--kind", kind, "--n", "4000", "--limit")
+        assert code == 0
+        assert rep["results"]["definables"] == definables
+        assert rep["results"]["restriction_coherent"] is True
+        assert rep["timing_ms"] < 3000
 
     def test_zero_exits_2(self, capsys):
         code, _ = run(capsys, "tower", "--n", "0")

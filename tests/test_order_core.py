@@ -501,6 +501,86 @@ class TestClosedSetsMatchNextClosure:
             assert got == want
 
 
+@st.composite
+def chain_systems(draw, max_n=60):
+    """Rule sets built around one-premise chains, where ``horn_closure``
+    walks lone elements: chains running up or down the indices or in a
+    shuffled order, some closed into a cycle, self-loops, multi-bit heads,
+    and a few two-premise rules whose premises often lie on the chains."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    elem = st.integers(min_value=0, max_value=n - 1)
+    rules = []
+    on_chains = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        order = draw(st.sampled_from(["up", "down", "shuffled"]))
+        start = draw(elem)
+        length = draw(st.integers(min_value=1, max_value=n))
+        if order == "shuffled":
+            run = draw(st.permutations(range(n)))[:length]
+        else:
+            step = 1 if order == "up" else -1
+            run = [start + step * i for i in range(length) if 0 <= start + step * i < n]
+        rules += [(a, a, 1 << b) for a, b in zip(run, run[1:])]
+        if len(run) > 1 and draw(st.booleans()):
+            back = draw(st.sampled_from(run[:-1]))
+            rules.append((run[-1], run[-1], 1 << back))
+        on_chains += run
+    premise = st.sampled_from(on_chains) if on_chains else elem
+    heads = st.integers(min_value=0, max_value=(1 << n) - 1)
+    rules += [(a, a, 1 << a) for a in draw(st.lists(elem, max_size=3))]
+    rules += [(a, a, h) for a, h in draw(st.lists(st.tuples(elem, heads), max_size=3))]
+    rules += draw(st.lists(st.tuples(premise, premise, heads), max_size=3))
+    return n, draw(st.permutations(rules))
+
+
+def fixpoint(rules, s):
+    """Reference: apply every rule to the whole set until nothing changes."""
+    while True:
+        t = s
+        for a, b, heads in rules:
+            if s >> a & 1 and s >> b & 1:
+                t |= heads
+        if t == s:
+            return s
+        s = t
+
+
+class TestChainClosure:
+    """``horn_closure`` against a plain fixpoint on chain-heavy systems.  Each
+    closure is queried many times in a row, so that its lone elements use up
+    their plain steps and later calls read the reach that earlier calls'
+    walks left behind."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_systems(), st.randoms(use_true_random=False))
+    def test_close_is_the_fixpoint(self, system, rng):
+        n, rules = system
+        close = oc.horn_closure(n, rules)
+        starts = [1 << i for i in rng.sample(range(n), n)]
+        starts += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(10)]
+        for s in starts:
+            assert close(s) == fixpoint(rules, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_systems(), st.randoms(use_true_random=False))
+    def test_incremental_close_is_the_fixpoint(self, system, rng):
+        n, rules = system
+        close = oc.horn_closure(n, rules)
+        for _ in range(4):
+            a = fixpoint(rules, rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n))
+            for k in rng.sample(range(n), n):
+                bit = 1 << k
+                if not a & bit:
+                    assert close(a | bit, bit) == fixpoint(rules, a | bit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_systems(max_n=14))
+    def test_closed_sets_match_next_closure(self, system):
+        n, rules = system
+        want = next_closure(n, lambda s: fixpoint(rules, s))
+        assert oc.closed_sets(n, oc.horn_closure(n, rules)) == want
+
+
 @pytest.mark.parametrize("kind", list(tower.TowerKind), ids=lambda k: k.name)
 def test_closed_sets_work_is_linear_on_towers(kind):
     # on the towers the walk makes at most two closures per closed set
