@@ -67,9 +67,12 @@ must be equal field by field:
   all distinct, in1 = in2, in1 = out, in2 = out, all equal), with and
   without a `terminal_order` that adds a free point, at n = 2, 3, 4, 5, 8,
   16 and 32, and `circuit.discretize(circuit.build_full(l), 4)` for every
-  lattice of 2 to 6 elements: cells, `min_open`, `dist` with its insertion
-  order, slices, resolution, edges, vertices, terminals, terminal order,
-  reps, copies and n;
+  lattice of 2 to 6 elements: cells, the minimal-open table, `dist` with
+  its insertion order, slices, resolution, edges, vertices, terminals,
+  terminal order, reps, copies and n.  The table is `s.open_masks()` in a
+  tree that has it (an assembled space there keeps no `min_open`, and
+  `open_masks()` reads it off the view) and `s.min_open` otherwise, so
+  both trees digest the same table;
 - `tower.build_W` on two sliced bases drawn as the `truncation` workload
   draws them: the space's fields as above, `copy_of` and `base_cell`.
 
@@ -172,7 +175,8 @@ def digest(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 def space_fields(s):
-    return {"cells": digest(s.cells), "min_open": digest([hex(m) for m in s.min_open]),
+    opens = s.open_masks() if hasattr(s, "open_masks") else s.min_open
+    return {"cells": digest(s.cells), "min_open": digest([hex(m) for m in opens]),
             "dist": digest(list(s.dist.items())), "slices": digest(s.slices),
             "resolution": digest(s.resolution)}
 

@@ -21,17 +21,17 @@ the cover radius through the neighbour lists, so they cost O(stored pairs)
 rather than O(cells²).
 
 A view is made in one of three ways.  A space built directly from min_open
-(tests, build_W's base) is walked cell by cell.  The one-gate template of
-gate hands compiled() the offset rows it read off its own incidences.  And
-solder (with coproduct, its group-free case) leaves its parts behind, and
-the view is placed from theirs on first use: a run of cells that the
-soldering map moves by one shift keeps its rows, which land at every copy's
-shift at once as the product with a mask holding one bit per copy; only the
-rows that cross runs, at the soldered terminals, are mapped one by one.  So
-a gate complex is assembled without walking a full-width mask, and
-build_W, which replaces dist right after its coproduct, pays nothing for a
-view it drops.  retag keeps the view across new cells or a new pitch;
-dataclasses.replace drops it, as it must when min_open or dist change.
+(tests, build_W) is walked cell by cell.  The one-gate template of gate hands
+compiled() the offset rows it read off its own incidences.  And solder (with
+coproduct, its group-free case) leaves its parts behind, and the view is
+placed from theirs on first use: a run of cells that the soldering map moves
+by one shift keeps its rows, which land at every copy's shift at once as the
+product with a mask holding one bit per copy; only the rows that cross runs,
+at the soldered terminals, are mapped one by one.  Such an assembled space
+has min_open None, so no full-width mask is made: the view is the only store
+of its topology, and open_masks() reads the minimal opens off it.  retag
+keeps the view across new cells or a new pitch; dataclasses.replace drops
+it, as it must when min_open or dist change.
 
 Definability needs only the smallest threshold r0 above the floor.  The
 expansion of d grows with r and interior is monotone, so d inside
@@ -105,25 +105,30 @@ class Cell:
     tag: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteSpace:
     """Cells with an Alexandrov base and a sparse exact metric.
 
-    min_open[i] is the bitmask of cell i's minimal open neighborhood.
+    min_open[i] is the bitmask of cell i's minimal open neighborhood, or None
+    when the view holds the topology (solder); == compares open_masks().
     dist holds Fraction distances strictly below 1 keyed by (i, j), i < j.
     slices, when present, is the crisp slicing value per cell.
     resolution is the threshold pitch used by the openness checks.
     """
 
     cells: tuple[Cell, ...]
-    min_open: tuple[int, ...]
+    min_open: tuple[int, ...] | None
     dist: dict
     slices: tuple[Fraction, ...] | None = None
     resolution: Fraction = Fraction(1)
     # the view, or until its first use what solder left to place it from
-    _compiled: "_View | tuple | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _compiled: "_View | tuple | None" = field(default=None, init=False, repr=False)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cells, self.open_masks(), self.dist, self.slices, self.resolution) == (
+            other.cells, other.open_masks(), other.dist, other.slices, other.resolution)
 
     @property
     def n(self) -> int:
@@ -145,14 +150,25 @@ class DiscreteSpace:
         The tuple is rebuilt on every call, walking every offset mask, so a
         caller that indexes it in a loop takes it once before the loop.
         """
+        return self._per_cell(0)
+
+    def open_masks(self) -> tuple[int, ...]:
+        """min_open, or without the table each cell's minimal open read off
+        the view's minimal-open block, rebuilt on every call as above."""
+        if self.min_open is not None:
+            return self.min_open
+        return self._per_cell(self.n)
+
+    def _per_cell(self, at: int) -> tuple[int, ...]:
+        """Per cell x, x and each x + k with x in M_k's block at bit `at`."""
         full = self.full_mask
-        cl = [1 << x for x in range(self.n)]
+        out = [1 << x for x in range(self.n)]
         for k, up, down in _view(self).pairs:
-            for x in bits(up & full):
-                cl[x] |= 1 << x + k
-            for x in bits(down & full):
-                cl[x] |= 1 << x - k
-        return tuple(cl)
+            for x in bits(up >> at & full):
+                out[x] |= 1 << x + k
+            for x in bits(down >> at & full):
+                out[x] |= 1 << x - k
+        return tuple(out)
 
     def neighbours(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """Per cell i, ((j, d), ...) for every stored distance d(i, j) = d."""
@@ -278,6 +294,8 @@ def _view(s: DiscreteSpace) -> _View:
     left in its place, else read cell by cell off min_open."""
     v = s._compiled
     if not isinstance(v, _View):
+        if v is None and s.min_open is None:
+            raise ValueError("no min_open and no view: dataclasses.replace drops the view")
         v = _View(s, _walked_rows(s) if v is None else _placed_rows(s.n, *v))
         object.__setattr__(s, "_compiled", v)
     return v
@@ -337,18 +355,19 @@ def validate(s: DiscreteSpace) -> list[str]:
     if s.resolution <= 0:
         diags.append(f"resolution {s.resolution} is not positive")
     # a minimal-open table or a key naming no cell stops the walks below,
-    # which index min_open (the neighbour lists through the view)
-    stray = [i for i, m in enumerate(s.min_open) if m >> s.n]  # negative masks too
-    unindexable = len(s.min_open) != s.n or bool(stray)
-    if len(s.min_open) != s.n:
+    # which index the minimal opens (the neighbour lists through the view)
+    opens = s.open_masks()
+    stray = [i for i, m in enumerate(opens) if m >> s.n]  # negative masks too
+    unindexable = len(opens) != s.n or bool(stray)
+    if len(opens) != s.n:
         diags.append("min_open table size mismatch")
     else:
         diags += [f"min_open({i}) names a cell outside 0..{s.n - 1}" for i in stray]
     for i in range(s.n) if not unindexable else ():
-        if not s.min_open[i] >> i & 1:
+        if not opens[i] >> i & 1:
             diags.append(f"min_open({i}) does not contain {i}")
-        for y in bits(s.min_open[i]):
-            if s.min_open[y] & ~s.min_open[i]:
+        for y in bits(opens[i]):
+            if opens[y] & ~opens[i]:
                 diags.append(
                     f"Alexandrov base violated: {y} in min_open({i}) but "
                     f"min_open({y}) is not contained in it"
@@ -519,9 +538,10 @@ def is_open_metric(s: DiscreteSpace, r_min: Fraction) -> bool:
 
     Unions reduce the general open-set case to minimal opens.
     """
+    opens = s.open_masks()
     for r in openness_thresholds(s, r_min):
-        for x in range(s.n):
-            if not is_open(s, expand(s, s.min_open[x], r)):
+        for m in opens:
+            if not is_open(s, expand(s, m, r)):
                 return False
     return True
 
@@ -538,8 +558,8 @@ def coproduct(*spaces: DiscreteSpace) -> DiscreteSpace:
     """Disjoint union, numbering each space as one block in argument order.
 
     All cross distances are 1 and the topology is the disjoint sum.  The
-    resolution is the gcd of the parts' (1 for no parts); slices survive
-    when every part has them.  This is solder with no groups.
+    resolution is the gcd of the parts' (1 for no parts).  This is solder
+    with no groups, so slices are dropped unless there is one part.
     """
     return solder(spaces, ())[0]
 
@@ -562,12 +582,12 @@ def solder(
     members'; its distance to any other cell is the minimum over members
     (all 1 here, by crispness).
 
-    Each part is walked by runs: the stretches of its cells that the map
-    moves by one shift, a soldered cell being a run of its own.  A minimal
-    open inside its cell's run moves by that shift, any other is remapped
-    bit by bit, so no full-width mask is walked.  The quotient's view is
-    left to be placed from the parts' views on first use (_placed_rows);
-    one part with no groups is laid as it is and keeps its own.
+    Each part is cut into runs: the stretches of its cells that the map
+    moves by one shift, a soldered cell being a run of its own.  The
+    quotient keeps no minimal-open table and no slices: its view, placed
+    from the parts' views and runs on first use (_placed_rows), is the only
+    store of its topology, so no full-width mask is made.  One part with no
+    groups is laid as it is and keeps its own table, view and slices.
     """
     parts = tuple(parts)
     starts = []  # old id of each part's first cell
@@ -603,12 +623,8 @@ def solder(
     group_new: dict[int, int] = {}
     cells: list[Cell] = []
     old_to_new: list[int] = []
-    min_open: list[int] = []
     dist: dict = {}
-    sliced = bool(parts) and all(p.slices is not None for p in parts)
-    slices: list = []
     res = Fraction(0)  # gcd(0, r) = r
-    leaving: dict = {}  # (id of a min_open tuple, run) -> its cells opening outside the run
     placed = []  # (part, old id of its first cell, its runs (a, b, shift))
     for pi, (p, start) in enumerate(zip(parts, starts)):
         runs = []
@@ -636,23 +652,6 @@ def solder(
             runs.append((local, local + 1, nid - local))
             at = local + 1
         loc = old_to_new[start:]
-        mo = p.min_open
-        for a, b, sh in runs:
-            key = (id(mo), a, b)
-            leave = leaving.get(key)
-            if leave is None:
-                low = (1 << a) - 1
-                leave = leaving[key] = [y for y in range(a, b) if mo[y] >> b or mo[y] & low]
-            moved = [m << sh for m in mo[a:b]] if sh >= 0 else [m >> -sh for m in mo[a:b]]
-            for y in leave:
-                m = 0
-                for x in bits(mo[y]):
-                    m |= 1 << loc[x]
-                moved[y - a] = m
-            if a + sh < len(min_open):  # a soldered cell, merged into an earlier one
-                min_open[a + sh] |= moved[0]
-            else:
-                min_open += moved
         for (a, b), d in p.dist.items():
             na, nb = loc[a], loc[b]
             if na == nb:
@@ -660,23 +659,15 @@ def solder(
             key = (na, nb) if na < nb else (nb, na)
             if key not in dist or d < dist[key]:
                 dist[key] = d
-        if sliced:
-            for a, b, sh in runs:
-                if a + sh < len(slices):
-                    slices[a + sh] = p.slices[a]
-                else:
-                    slices += p.slices[a:b]
         res = _frac_gcd(res, p.resolution)
         placed.append((p, start, runs))
-    out = DiscreteSpace(
-        tuple(cells), tuple(min_open), dist, tuple(slices) if sliced else None,
-        res or Fraction(1),
-    )
     old_to_new = tuple(old_to_new)
-    if len(parts) == 1 and not groups:  # the part as it is, and so is its view
-        object.__setattr__(out, "_compiled", parts[0]._compiled)
-    else:
-        object.__setattr__(out, "_compiled", (old_to_new, placed))
+    alone = len(parts) == 1 and not groups  # the part as it is, and so is its view
+    out = DiscreteSpace(
+        tuple(cells), parts[0].min_open if alone else None, dist,
+        parts[0].slices if alone else None, res or Fraction(1),
+    )
+    object.__setattr__(out, "_compiled", parts[0]._compiled if alone else (old_to_new, placed))
     return out, old_to_new
 
 

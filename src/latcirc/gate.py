@@ -417,7 +417,7 @@ def oracle(
     cells within r0 of d, expand) of a union are the unions of its parts'.
     So each edge's U and expansion are combined next to the closures, an
     edge subset with union base survives when U & ~(base | N) == 0, and a
-    free vertex v is addable to it when min_open[v] & ~(base | N | 1 << v)
+    free vertex v is addable to it when open_hull({v}) & ~(base | N | 1 << v)
     == 0: extra vertices are 0-cells, whose witness distances live on same-x
     1-cell pairs fixed by the edge choice.  Every union of a survivor with
     addable vertices is confirmed with is_definable.
@@ -432,6 +432,7 @@ def oracle(
     ups = [finspace.open_hull(s, c) for c in closures]
     grown = [finspace.expand(s, c, binding[0]) for c in closures]
     size, pinneds, bases, us, covers = _edge_table(dc, budget, closures, ups, grown)
+    opens = [finspace.open_hull(s, 1 << v) for v in dc.vertices]
     definable = []
     for pinned, base, u, covered in zip(pinneds, bases, us, covers):
         if u & ~covered:
@@ -439,7 +440,7 @@ def oracle(
         addable = [
             1 << v
             for i, v in enumerate(dc.vertices)
-            if not pinned >> i & 1 and not s.min_open[v] & ~(covered | 1 << v)
+            if not pinned >> i & 1 and not opens[i] & ~(covered | 1 << v)
         ]
         for d in _doubled(base, addable):
             if finspace.is_definable(s, d, r_min):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .finspace import bits
+from .finspace import _mask, bits
 
 
 class OrderError(ValueError):
@@ -172,22 +172,24 @@ def _bounds(p: Poset, masks, kind: str):
 
     The bound of i and j is the member of ``masks[i] & masks[j]`` whose own
     mask holds all of them: on down masks their meet, on up masks their join.
-    Raises ``LatticeError`` naming the first pair, in index order, that has
-    none.
+    It holds every other member's mask, so with elements ranked by mask size
+    it is the top bit of the ranked common part, checked to hold that part.
+    Raises ``LatticeError`` naming the first pair, in index order, that has none.
     """
     n = p.n
+    order = sorted(range(n), key=lambda k: masks[k].bit_count())
+    rank = {k: r for r, k in enumerate(order)}
+    ranked = [_mask((rank[k] for k in bits(m)), n) for m in masks]  # masks over ranks
     table = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            common = masks[i] & masks[j]
-            for k in bits(common):
-                if common & ~masks[k] == 0:
-                    table[i][j] = table[j][i] = k
-                    break
-            else:
+            common = ranked[i] & ranked[j]
+            k = order[common.bit_length() - 1]
+            if not common or common & ~ranked[k]:
                 raise LatticeError(
                     f"no {kind} for pair ({p.elements[i]!r}, {p.elements[j]!r})"
                 )
+            table[i][j] = table[j][i] = k
     overall = 0
     for i in range(1, n):
         overall = table[overall][i]

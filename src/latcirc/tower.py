@@ -10,7 +10,7 @@ infinite enumeration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -453,13 +453,10 @@ def build_W(
     if s.slices is None:
         raise ValueError("build_W needs a crisply sliced base space")
     n = s.n
-    w = finspace.coproduct(*(
-        replace(s, cells=tuple(
-            finspace.Cell(c.id, c.dim, f"c{i}:{c.tag or c.id}") for c in s.cells
-        ))
-        for i in range(3)
-    ))
-    dist = dict(w.dist)
+    cells = tuple(finspace.Cell(i * n + a, c.dim, f"c{i}:{c.tag or c.id}")
+                  for i in range(3) for a, c in enumerate(s.cells))
+    min_open = tuple(m << i * n for i in range(3) for m in s.open_masks())
+    dist = {(a + i * n, b + i * n): d for i in range(3) for (a, b), d in s.dist.items()}
     group: dict = {}  # slice value -> base cells on it, ascending
     for a, v in enumerate(s.slices):
         group.setdefault(v, []).append(a)
@@ -479,7 +476,8 @@ def build_W(
                     if d < 1:
                         dist[(i * n + a, j * n + b)] = d
     copy_of = tuple(i for i in range(3) for _ in range(n))
-    return WSpace(replace(w, dist=dist), copy_of, tuple(range(n)) * 3)
+    w = DiscreteSpace(cells, min_open, dist, s.slices * 3, s.resolution)
+    return WSpace(w, copy_of, tuple(range(n)) * 3)
 
 
 @dataclass(frozen=True)
@@ -528,6 +526,10 @@ def solder_Y_truncation(m: MeetSemilattice, enumeration, k: int) -> YTruncation:
     Odd stages up to k collapse copy 1's first rails together, even stages
     collapse copy 2's, and the three stage-0 rails merge; rails are
     all-or-nothing, so identified rails become a single circuit node.
+
+    At every k they put every rail of copies 1 and 2 into the class of copy
+    0's rail 0 (node_class is tuple(range(k)) + (0,) * 2k), so
+    verify_short_circuit only checks that nonempty assignments hold rail 0.
     """
     base = circuit_mod.build_Y0(m, enumeration, k)
     total = 3 * k

@@ -95,16 +95,32 @@ def test_criterion_05_negative_controls():
             ok = ok and not fs.is_definable(
                 dg.space, gate.edge_mask(dg, name), dg.r_min
             )
+    # a definable probe counts only when its terminal pattern is not an
+    # allowed one: the gate has definable sets outside the saturated family
     dg = gate.discretize(6)
-    known = set(gate.oracle(dg).definable)
+    allowed = gate.expected_patterns("plain")
     probes = fs.random_closed_sets(dg.space, 1000, seed=0)
     bad = [
         d
         for d in probes
-        if fs.is_definable(dg.space, d, dg.r_min) and d not in known
+        if fs.is_definable(dg.space, d, dg.r_min) and dg.pattern(d) not in allowed
     ]
     ok = ok and not bad
     _verdict(5, ok, f"{len(probes)} probes, {len(bad)} unexpected definable", started, 120)
+
+
+def test_criterion_05_passes_an_unsaturated_definable_probe(monkeypatch):
+    # the top lobe plus the lone 0-cell LL.v4: definable, not in the
+    # saturated family, and showing the allowed pattern (1, 0, 0)
+    dg = gate.discretize(6)
+    lobe = gate.state_to_cells(dg, gate.GateState(1, 0, 0))
+    [ll] = [i for i, cell in enumerate(dg.space.cells) if cell.tag == "LL.v4"]
+    witness = lobe | 1 << ll
+    assert fs.is_definable(dg.space, witness, dg.r_min)
+    assert witness not in gate.oracle(dg).definable
+    assert dg.pattern(witness) == (1, 0, 0)
+    monkeypatch.setattr(fs, "random_closed_sets", lambda s, count, seed: [witness])
+    test_criterion_05_negative_controls()
 
 
 def test_criterion_06_filter_correspondence():

@@ -461,6 +461,17 @@ class TestFactorizedOracle:
         assert res.refuted == ()
         assert set(res.patterns) == set(cc.definable_assignments(c))
 
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+    def test_every_full_presentation_n8(self, size):
+        # the oracle at pitch 8 on every full presentation of `size` elements
+        for lat in oc.all_lattices_up_to_iso(size):
+            c = cc.build_full(lat)
+            want = tuple(cc.definable_assignments(c))
+            res = cc.oracle(c, 8, 4_000_000)
+            assert res.patterns == want
+            assert res.definables == len(want)
+            assert res.refuted == ()
+
     def test_two_gate_classes(self):
         classes = _two_gate_classes()
         assert len(classes) == 34
@@ -477,9 +488,12 @@ class TestFactorizationPreconditions:
         return dc, gate.discretize(3)
 
     def _with_dist(self, dc, a, b, d):
+        from test_gate import template_table
+
         dist = dict(dc.space.dist)
         dist[(a, b) if a < b else (b, a)] = d
-        return replace(dc, space=replace(dc.space, dist=dist))
+        # replace drops the view, the complex's only topology: give it a table
+        return replace(dc, space=replace(dc.space, min_open=template_table(dc), dist=dist))
 
     def test_intact_complex_passes(self, parts):
         dc, one = parts
@@ -506,7 +520,7 @@ class TestFactorizationPreconditions:
         t = dc.terminals["r"]
         cells = list(dc.space.cells)
         cells[t] = fs.Cell(t, 1, cells[t].tag)
-        broken = replace(dc, space=replace(dc.space, cells=tuple(cells)))
+        broken = replace(dc, space=fs.retag(dc.space, cells))
         with pytest.raises(AssertionError, match="not a 0-cell"):
             cc.check_factorization(broken, one, dc.r_min)
 

@@ -279,10 +279,20 @@ def cells_within(s, r):
     return near
 
 
-def packed_kernel(s, r_min):
-    """The packed kernel table as it was before the offset masks, uncached:
-    the smallest threshold above r_min, and per cell the packed mask
-    cl(x) | min_open(x) << n | near_r0(x) << 2n."""
+def closures_of(opens):
+    """cl({x}) per cell of a minimal-open table: x and every y whose
+    minimal open holds x."""
+    cl = [1 << x for x in range(len(opens))]
+    for y, m in enumerate(opens):
+        for x in fs.bits(m):
+            cl[x] |= 1 << y
+    return tuple(cl)
+
+
+def packed_kernel(s, r_min, opens):
+    """The packed kernel table as it was before the offset masks, uncached,
+    from the minimal-open table opens: the smallest threshold above r_min,
+    and per cell the packed mask cl(x) | min_open(x) << n | near_r0(x) << 2n."""
     vals = fs._view(s).values
     i = bisect_right(vals, r_min)
     r0 = vals[i] if i < len(vals) and vals[i] <= 1 else None
@@ -290,19 +300,19 @@ def packed_kernel(s, r_min):
     n = s.n
     table = tuple(
         c | m << n | a << 2 * n
-        for c, m, a in zip(s.closure_masks(), s.min_open, near)
+        for c, m, a in zip(closures_of(opens), opens, near)
     )
     return r0, table
 
 
-def packed_failure(s, d, r_min):
+def packed_failure(s, d, r_min, opens):
     """_failure as it was before the offset masks, kept as a reference: one
     packed table entry ORed per cell of d."""
     if r_min < 0:
         raise ValueError("r_min must be nonnegative")
     if d == 0 or d == s.full_mask:
         return None
-    r0, table = packed_kernel(s, r_min)
+    r0, table = packed_kernel(s, r_min, opens)
     acc = 0
     m = d
     while m:
@@ -321,15 +331,15 @@ def packed_failure(s, d, r_min):
         return None
     # the cells of d whose minimal open meets `bad` are d & cl(bad)
     hit = 0
-    cl = s.closure_masks()
+    cl = closures_of(opens)
     for y in fs.bits(bad):
         hit |= cl[y]
     hit &= d
     return r0, (hit & -hit).bit_length() - 1
 
 
-def packed_why_not(s, d, r_min):
-    fail = packed_failure(s, d, r_min)
+def packed_why_not(s, d, r_min, opens):
+    fail = packed_failure(s, d, r_min, opens)
     if fail is None:
         return None
     r, where = fail
@@ -361,11 +371,15 @@ def parent_random_closed_sets(s, count, seed):
 
 
 class TestOffsetKernelMatchesPackedTable:
-    """The offset kernel gives the packed table's verdict and witness."""
+    """The offset kernel gives the packed table's verdict and witness, the
+    table built from test_gate.template_table's minimal opens."""
 
-    def _same(self, s, pool, r_min):
+    def _same(self, dc, pool, r_min):
+        from test_gate import template_table
+
+        s, opens = dc.space, template_table(dc)
         for d in pool:
-            assert fs.why_not_definable(s, d, r_min) == packed_why_not(s, d, r_min), bin(d)
+            assert fs.why_not_definable(s, d, r_min) == packed_why_not(s, d, r_min, opens), bin(d)
 
     @pytest.mark.parametrize("build", [gate.discretize, gate.discretize_dagger],
                              ids=["plain", "dagger"])
@@ -373,13 +387,13 @@ class TestOffsetKernelMatchesPackedTable:
         dc = build(4)
         pool = list(gate.saturated_candidates(dc))
         for r_min in (dc.r_min, F(0)):
-            self._same(dc.space, pool, r_min)
+            self._same(dc, pool, r_min)
 
     def test_chain4_minimal_n8(self):
         dc = cc.discretize(cc.build_minimal(oc.chain(4)), 8)
         s = dc.space
         pool = fs.random_closed_sets(s, 200, seed=1) + seeded_masks(s, 200, seed=2)
-        self._same(s, pool, dc.r_min)
+        self._same(dc, pool, dc.r_min)
 
     def test_n5_full_n4(self):
         # 52 soldered gate copies, 4,788 cells: the solder renumbers the
@@ -387,7 +401,7 @@ class TestOffsetKernelMatchesPackedTable:
         dc = cc.discretize(cc.build_full(oc.n5()), 4)
         s = dc.space
         pool = fs.random_closed_sets(s, 50, seed=3) + seeded_masks(s, 50, seed=4)
-        self._same(s, pool, dc.r_min)
+        self._same(dc, pool, dc.r_min)
 
     def test_floor_cache(self):
         dc = gate.discretize(4)
@@ -396,15 +410,15 @@ class TestOffsetKernelMatchesPackedTable:
         pool += list(gate.saturated_candidates(dc))[::50]
         # equal floors as distinct objects, interleaved with another floor
         for r_min in (F(1, 2), F(0), F(2, 4), F(0, 7), F(1, 2)):
-            self._same(s, pool, r_min)
+            self._same(dc, pool, r_min)
         with pytest.raises(ValueError, match="r_min must be nonnegative"):
             fs.is_definable(s, pool[0], F(-1, 2))
         with pytest.raises(ValueError, match="r_min must be nonnegative"):
             fs.why_not_definable(s, pool[0], F(-1, 2))
         # a floor at the largest distance leaves no threshold: closedness only
         assert fs.thresholds(s, F(1)) == []
-        self._same(s, pool, F(1))
-        self._same(s, pool, F(0))
+        self._same(dc, pool, F(1))
+        self._same(dc, pool, F(0))
 
 
 class TestMaskOutsideSpaceRefused:
@@ -463,15 +477,16 @@ def literal_near(s, r):
     return [fs.cellset(y for y in range(s.n) if s.distance(x, y) < r) for x in range(s.n)]
 
 
-def cell_by_cell(s, d, near):
+def cell_by_cell(s, opens, d, near):
     """closure, interior, open_hull and expand of d from their per-cell
-    definitions: near maps each radius to its cells_within table."""
-    closure = fs.cellset(y for y in range(s.n) if s.min_open[y] & d)
-    interior = fs.cellset(x for x in fs.bits(d) if not s.min_open[x] & ~d)
+    definitions, given the minimal-open table opens: near maps each radius
+    to its cells_within table."""
+    closure = fs.cellset(y for y in range(s.n) if opens[y] & d)
+    interior = fs.cellset(x for x in fs.bits(d) if not opens[x] & ~d)
     hull = d
     grown = dict.fromkeys(near, d)
     for x in fs.bits(d):
-        hull |= s.min_open[x]
+        hull |= opens[x]
         for r, table in near.items():
             grown[r] |= table[x]
     return closure, interior, hull, grown
@@ -488,9 +503,17 @@ def radii_of(values):
     return [r for p, q in zip(values, values[1:]) for r in ((p + q) / 2, q)]
 
 
+def complex_case(dc):
+    """A complex's space and test_gate.template_table's table for it."""
+    from test_gate import template_table
+
+    return dc.space, template_table(dc)
+
+
 class TestRelationsMatchCellByCell:
     """closure, interior, open_hull and expand, read off the offset masks,
-    against their per-cell definitions from min_open and s.distance."""
+    against their per-cell definitions from a minimal-open table built
+    without the view, and s.distance."""
 
     @settings(max_examples=100, deadline=None)
     @given(small_spaces())
@@ -501,36 +524,37 @@ class TestRelationsMatchCellByCell:
         for r, table in near.items():
             assert [m | 1 << x for x, m in enumerate(table)] == literal_near(s, r)
         for d in range(1 << s.n):
-            assert relations_of(s, d, radii) == cell_by_cell(s, d, near), bin(d)
+            assert relations_of(s, d, radii) == cell_by_cell(s, s.min_open, d, near), bin(d)
 
     @pytest.mark.parametrize("build", [
-        *(lambda n=n, b=b: b(n).space for b in (gate.discretize, gate.discretize_dagger)
+        *(lambda n=n, b=b: complex_case(b(n)) for b in (gate.discretize, gate.discretize_dagger)
           for n in (2, 3, 8, 32)),
-        lambda: cc.discretize(cc.build_minimal(oc.n5()), 4).space,  # four gates
-        lambda: w_case()[0],
+        lambda: complex_case(cc.discretize(cc.build_minimal(oc.n5()), 4)),  # four gates
+        lambda: (w_case()[0], w_table()),
     ], ids=[*(f"{v}{n}" for v in ("plain", "dagger") for n in (2, 3, 8, 32)),
             "n5-minimal", "W"])
     def test_seeded_masks(self, build):
-        s = build()
+        s, opens = build()
         radii = radii_of(sorted({F(0), F(1), *s.dist.values()}))
         near = {r: cells_within(s, r) for r in radii}
         pool = [0, s.full_mask, *seeded_masks(s, 12, seed=s.n)]
         pool += fs.random_closed_sets(s, 4, seed=s.n)
         for d in pool:
-            assert relations_of(s, d, radii) == cell_by_cell(s, d, near), bin(d)
+            assert relations_of(s, d, radii) == cell_by_cell(s, opens, d, near), bin(d)
 
 
-def all_pairs_validate(s):
-    """validate as it was before the neighbour lists, kept as a reference."""
+def all_pairs_validate(s, opens):
+    """validate as it was before the neighbour lists, kept as a reference,
+    reading the minimal-open table opens."""
     diags = []
     ids = [c.id for c in s.cells]
     if ids != list(range(s.n)):
         diags.append("cell ids are not dense 0..n-1")
     for i in range(s.n):
-        if not s.min_open[i] >> i & 1:
+        if not opens[i] >> i & 1:
             diags.append(f"min_open({i}) does not contain {i}")
-        for y in fs.bits(s.min_open[i]):
-            if s.min_open[y] & ~s.min_open[i]:
+        for y in fs.bits(opens[i]):
+            if opens[y] & ~opens[i]:
                 diags.append(
                     f"Alexandrov base violated: {y} in min_open({i}) but "
                     f"min_open({y}) is not contained in it"
@@ -595,20 +619,20 @@ class TestValidateMatchesAllPairsReference:
     @settings(max_examples=300, deadline=None)
     @given(messy_spaces())
     def test_messy_spaces(self, s):
-        assert fs.validate(s) == all_pairs_validate(s)
+        assert fs.validate(s) == all_pairs_validate(s, s.min_open)
 
     @settings(max_examples=100, deadline=None)
     @given(small_spaces())
     def test_metric_spaces(self, s):
-        assert fs.validate(s) == all_pairs_validate(s) == []
+        assert fs.validate(s) == all_pairs_validate(s, s.min_open) == []
 
     def test_gate_and_triangle_fixture(self):
         dg = gate.discretize_dagger(3)
-        assert fs.validate(dg.space) == all_pairs_validate(dg.space) == []
+        assert fs.validate(dg.space) == all_pairs_validate(*complex_case(dg)) == []
         cells = tuple(Cell(i, 0) for i in range(4))
         dist = {(0, 1): F(1, 3), (1, 2): F(1, 4), (2, 3): F(1, 5), (0, 3): F(9, 10)}
         s = DiscreteSpace(cells, (1, 2, 4, 8), dist)
-        want = all_pairs_validate(s)
+        want = all_pairs_validate(s, s.min_open)
         assert len(want) == 2 and fs.validate(s) == want
 
 
@@ -622,6 +646,17 @@ class TestCompiledViewIsInvisible:
         assert s == fresh and fresh == s
         assert repr(s) == before and "View" not in before
         assert repr(s) == repr(fresh)
+
+    def test_assembled_spaces_compare_topology(self):
+        # no table on either side, so == reads the minimal opens off the views
+        other = DiscreteSpace(edge_with_ends().cells, (0b001, 0b010, 0b110), {})
+        a = fs.coproduct(edge_with_ends(), crisp_points(1))
+        b = fs.coproduct(other, crisp_points(1))
+        assert a.min_open is None and b.min_open is None
+        assert a != b and b != a
+        assert a == fs.coproduct(edge_with_ends(), crisp_points(1))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
 
     def test_two_floors_on_one_space(self):
         dg = gate.discretize(4)
@@ -639,15 +674,16 @@ class TestCompiledViewIsInvisible:
                 assert [fs.is_definable(shared, d, r) for d in pool] == want[r]
 
 
-def reference_view(s):
+def reference_view(s, opens):
     """_View.__init__ as it was before views were placed from their parts,
-    kept as the referee: one walk over the full-width minimal opens gives
-    the closure tuple and the offset masks; then the sorted distance values."""
+    kept as the referee: one walk over opens, a full-width minimal-open
+    table built without the view, gives the closure tuple and the offset
+    masks; then the sorted distance values."""
     n = s.n
     cl = [1 << i for i in range(n)]
     rows = defaultdict(list)  # offset k -> cells y with y + k in min_open(y)
     for y in range(n):
-        for x in fs.bits(s.min_open[y]):
+        for x in fs.bits(opens[y]):
             if x != y:
                 cl[x] |= 1 << y
                 rows[x - y].append(y)
@@ -677,19 +713,21 @@ def reference_kernel(s, offsets, values, r_min):
     return r0, fs._pairs(table)
 
 
-def assert_view_is_reference(s, floor, walked=False):
-    """The view of s equals the reference in offset pairs, values, kernel
-    entries at the floor, at 0 and at 1, and closure_masks().  Unless
-    walked, s must already hold its view or what solder left to place it
-    from, so the view checked is not one walked from min_open."""
+def assert_view_is_reference(s, floor, opens, walked=False):
+    """The view of s equals the reference walked from the minimal-open table
+    opens in offset pairs, values, kernel entries at the floor, at 0 and at
+    1, closure_masks() and open_masks().  Unless walked, s must already hold
+    its view or what solder left to place it from, so the view checked is
+    not one walked from min_open."""
     assert (s._compiled is None) == walked
-    closure, offsets, values = reference_view(s)
+    closure, offsets, values = reference_view(s, opens)
     view = fs._view(s)
     assert view.pairs == fs._pairs(offsets)
     assert view.values == values
     for r in (floor, F(0), F(1)):
         assert view.kernel(s, r) == reference_kernel(s, offsets, values, r), r
     assert s.closure_masks() == closure
+    assert s.open_masks() == tuple(opens)
     for d in seeded_masks(s, 5, seed=s.n):
         want = d
         for x in fs.bits(d):
@@ -703,37 +741,46 @@ class TestPlacedViewMatchesReference:
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_free_points(self, n):
+        from test_gate import template_table
+
         for labels, order in (([("a", "b", "c")], ("a", "b", "c", "z")),
                               ([("a", "a", "b")], ("y", "a", "b", "z")),
                               ([], ("x", "y"))):
             dc = gate.build_complex(labels, n, order)
-            assert_view_is_reference(dc.space, dc.r_min)
+            assert_view_is_reference(dc.space, dc.r_min, template_table(dc))
 
     def test_coproducts(self):
         parts = [gate.discretize(3).space, edge_with_ends(), crisp_points(2)]
         for k in (0, 1, 3):
             s = fs.coproduct(*parts[:k])
-            assert_view_is_reference(s, F(2, 3))
-        dg = gate.discretize_dagger(4).space
-        assert_view_is_reference(fs.coproduct(dg, dg, dg), F(1, 2))
+            assert_view_is_reference(s, F(2, 3), reference_solder(parts[:k], (), None)[1])
+        from test_gate import template_table
+
+        dd = gate.discretize_dagger(4)
+        dg = dd.space
+        opens = reference_solder([replace(dg, min_open=template_table(dd))] * 3, (), None)[1]
+        assert_view_is_reference(fs.coproduct(dg, dg, dg), F(1, 2), opens)
 
     def test_solder_of_plain_spaces(self):
-        s, mapping = fs.solder(
-            [crisp_points(3), edge_with_ends(), edge_with_ends()], [(0, 3), (5, 8, 1)]
-        )
+        parts, groups = [crisp_points(3), edge_with_ends(), edge_with_ends()], [(0, 3), (5, 8, 1)]
+        s, mapping = fs.solder(parts, groups)
         assert mapping == (0, 1, 2, 0, 3, 1, 4, 5, 1)
-        assert_view_is_reference(s, F(0))
+        assert_view_is_reference(s, F(0), reference_solder(parts, groups, None)[1])
 
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_build_W(self, pairs):
-        from test_tower import sliced_base
+        from test_tower import all_pairs_build_W, sliced_base
 
         from latcirc import tower
 
-        w = tower.build_W(sliced_base(pairs), *tower.default_turn_functions(5)).space
-        assert_view_is_reference(w, F(1, 4), walked=True)
+        turns = tower.default_turn_functions(5)
+        w = tower.build_W(sliced_base(pairs), *turns).space
+        opens = all_pairs_build_W(sliced_base(pairs), *turns).space.min_open
+        assert_view_is_reference(w, F(1, 4), opens, walked=True)
 
     def test_replace_dist_never_keeps_a_stale_view(self):
+        from test_gate import template_table
+
         dc = gate.discretize(4)
         s = dc.space
         fs._view(s).kernel(s, dc.r_min)  # compiled, with a kernel entry
@@ -741,15 +788,28 @@ class TestPlacedViewMatchesReference:
         for dist in ({**s.dist, (a, b): F(1, 16)}, {}):
             t = replace(s, dist=dist)
             assert t._compiled is None
-            assert_view_is_reference(t, dc.r_min, walked=True)
+            assert_view_is_reference(t, dc.r_min, template_table(dc), walked=True)
             assert fs._view(t).values != fs._view(s).values
         assert fs.thresholds(replace(s, dist={}), dc.r_min) == [F(1)]
 
+    def test_replace_on_an_assembled_space_is_refused(self):
+        # the view is an assembled space's only topology, and replace drops it
+        s = gate.discretize_dagger(4).space
+        assert s.min_open is None
+        t = replace(s, dist={})
+        for use in (fs._view, fs.validate, lambda t: fs.closure(t, 1)):
+            with pytest.raises(ValueError, match="dataclasses.replace"):
+                use(t)
+        assert fs.thresholds(replace(s, min_open=s.open_masks(), dist={}), F(0)) == [F(1)]
+
     def test_retag_keeps_the_view(self):
-        s = gate.build_complex([("a", "b", "c")], 4).space
+        from test_gate import template_table
+
+        dc = gate.build_complex([("a", "b", "c")], 4)
+        s = dc.space
         t = fs.retag(s, [fs.Cell(c.id, c.dim, "x") for c in s.cells], F(1, 8))
         assert t._compiled is s._compiled and t.resolution == F(1, 8)
-        assert_view_is_reference(t, F(1, 2))
+        assert_view_is_reference(t, F(1, 2), template_table(dc))
         with pytest.raises(ValueError, match="retag needs"):
             fs.retag(s, s.cells[1:])
 
@@ -817,10 +877,14 @@ class TestSolderMatchesReference:
     def test_random_solderings(self, case):
         parts, groups, tags = case
         s, mapping = fs.solder(parts, groups, tags)
-        assert (s.cells, s.min_open, list(s.dist.items()), mapping) == reference_solder(
-            parts, groups, tags
-        )
-        assert_view_is_reference(s, F(1, 4), walked=len(parts) == 1 and not groups)
+        cells, opens, dist, want = reference_solder(parts, groups, tags)
+        assert (s.cells, list(s.dist.items()), mapping) == (cells, dist, want)
+        alone = len(parts) == 1 and not groups
+        # only a part laid as it is keeps a full-width table, its own
+        assert s.min_open is (parts[0].min_open if alone else None)
+        assert_view_is_reference(s, F(1, 4), opens, walked=alone)
+        walked = DiscreteSpace(cells, opens, dict(dist), None, s.resolution)
+        assert s == walked and walked == s
 
 
 class TestNonPositiveResolution:
@@ -929,6 +993,15 @@ class TestSolder:
         res = gate.oracle(dd)
         assert len(res.definable) == 3
 
+    def test_only_a_lone_part_keeps_its_table(self):
+        e = edge_with_ends()
+        sliced = DiscreteSpace((Cell(0, 0),), (1,), {}, (F(2),))
+        assert fs.solder([e], [])[0].min_open is e.min_open
+        assert fs.coproduct(sliced).slices == (F(2),)
+        for s in (fs.solder([e], [(0,)])[0], fs.coproduct(e, e), fs.coproduct(),
+                  fs.coproduct(sliced, sliced)):
+            assert s.min_open is None and s.slices is None
+
     def test_non_crisp_rejected(self):
         dg = gate.discretize(2)
         mid = next(i for i, c in enumerate(dg.space.cells) if c.tag == "UR.v0")
@@ -1036,6 +1109,16 @@ def w_case():
     from latcirc import tower
 
     return tower.build_W(sliced_base(), *tower.default_turn_functions(5)).space, F(1, 4), []
+
+
+def w_table():
+    """The minimal-open table of w_case's space, from test_tower's
+    reference build of W."""
+    from test_tower import all_pairs_build_W, sliced_base
+
+    from latcirc import tower
+
+    return all_pairs_build_W(sliced_base(), *tower.default_turn_functions(5)).space.min_open
 
 
 PACKED_CASES = {

@@ -117,6 +117,40 @@ class TestAsLattice:
         with pytest.raises(oc.LatticeError, match="meet"):
             oc.as_lattice(p)
 
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_bounds_by_brute_force(self, size):
+        # each lattice relabelled by a seeded shuffle, so index order and
+        # mask-size rank disagree
+        rng = random.Random(size)
+        for lat in oc.all_lattices_up_to_iso(size):
+            order = rng.sample(range(size), size)
+            labels = [lat.elements[i] for i in order]
+            p = oc.poset_from_pairs(labels, [
+                (lat.elements[i], lat.elements[j])
+                for i in range(size) for j in range(size) if lat.leq(i, j)
+            ])
+            got = oc.as_lattice(p)
+            everything = range(size)
+            for i in everything:
+                for j in everything:
+                    lower = [k for k in everything if p.leq(k, i) and p.leq(k, j)]
+                    upper = [k for k in everything if p.leq(i, k) and p.leq(j, k)]
+                    assert [k for k in lower if all(p.leq(x, k) for x in lower)] == [got.meet[i][j]]
+                    assert [k for k in upper if all(p.leq(k, x) for x in upper)] == [got.join[i][j]]
+            assert all(p.leq(got.bottom, k) and p.leq(k, got.top) for k in everything)
+
+    def test_first_pair_without_a_meet_is_named(self):
+        # two bowties over 0: x, y < a, b and u, v < c, d; only (a, b) and
+        # (c, d) lack a meet, and (c, d) = (3, 8) comes first in index order
+        labels = ["0", "u", "v", "c", "x", "y", "a", "b", "d"]
+        covers = [("0", x) for x in "xyuv"]
+        covers += [(x, a) for x in "xy" for a in "ab"] + [(x, c) for x in "uv" for c in "cd"]
+        p = oc.poset_from_pairs(labels, covers)
+        for build in (oc.as_meet_semilattice, oc.as_lattice):
+            with pytest.raises(oc.LatticeError) as err:
+                build(p)
+            assert str(err.value) == "no meet for pair ('c', 'd')"
+
     def test_chain_min_max(self):
         lat = oc.chain(3)
         for i in range(3):

@@ -606,14 +606,18 @@ def all_pairs_directed_system(stages, embeddings):
 
 
 def all_pairs_build_W(s, f1, f2):
+    """build_W as it was, a coproduct of three retagged copies, with the
+    coproduct by test_finspace's reference_solder and every cross pair tried."""
+    from test_finspace import reference_solder
+
     n = s.n
-    w = fs.coproduct(*(
+    cells, opens, dist, _ = reference_solder([
         replace(s, cells=tuple(
             Cell(c.id, c.dim, f"c{i}:{c.tag or c.id}") for c in s.cells
         ))
         for i in range(3)
-    ))
-    dist = dict(w.dist)
+    ], (), None)
+    dist = dict(dist)
 
     def cross(i, j, v):
         if (i, j) in ((0, 1), (1, 0)):
@@ -633,7 +637,8 @@ def all_pairs_build_W(s, f1, f2):
                     if d < 1:
                         dist[(i * n + a, j * n + b)] = d
     copy_of = tuple(i for i in range(3) for _ in range(n))
-    return tower.WSpace(replace(w, dist=dist), copy_of, tuple(range(n)) * 3)
+    w = DiscreteSpace(cells, opens, dist, s.slices * 3, s.resolution)
+    return tower.WSpace(w, copy_of, tuple(range(n)) * 3)
 
 
 def all_pairs_cover_radius(w, r):
