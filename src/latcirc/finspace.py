@@ -8,7 +8,7 @@ Distance storage is sparse: only pairs at distance < 1 are recorded, every
 other distinct pair is at distance exactly 1.
 
 Each space is compiled once, on first use, into a private view held on the
-instance (it takes no part in equality or repr): the offset masks of closure
+instance (it takes no part in the repr): the offset masks of closure
 and minimal opens (below), the sorted distance values, and, each built
 lazily, the per-cell list of stored neighbours with their distances and, per
 radius r, the offset masks of the near relation (the cells strictly within
@@ -110,7 +110,7 @@ class DiscreteSpace:
     """Cells with an Alexandrov base and a sparse exact metric.
 
     min_open[i] is the bitmask of cell i's minimal open neighborhood, or None
-    when the view holds the topology (solder); == compares open_masks().
+    when the view holds the topology (solder).  Spaces compare by identity.
     dist holds Fraction distances strictly below 1 keyed by (i, j), i < j.
     slices, when present, is the crisp slicing value per cell.
     resolution is the threshold pitch used by the openness checks.
@@ -123,12 +123,6 @@ class DiscreteSpace:
     resolution: Fraction = Fraction(1)
     # the view, or until its first use what solder left to place it from
     _compiled: "_View | tuple | None" = field(default=None, init=False, repr=False)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.cells, self.open_masks(), self.dist, self.slices, self.resolution) == (
-            other.cells, other.open_masks(), other.dist, other.slices, other.resolution)
 
     @property
     def n(self) -> int:
@@ -546,14 +540,6 @@ def is_open_metric(s: DiscreteSpace, r_min: Fraction) -> bool:
     return True
 
 
-def is_crisp(s: DiscreteSpace, a: int) -> bool:
-    """Everything in the set is at distance exactly 1 from everything outside."""
-    for (i, j) in s.dist:
-        if bool(a >> i & 1) != bool(a >> j & 1):
-            return False
-    return True
-
-
 def coproduct(*spaces: DiscreteSpace) -> DiscreteSpace:
     """Disjoint union, numbering each space as one block in argument order.
 
@@ -716,15 +702,6 @@ def _placed_rows(n: int, old_to_new, placed) -> dict:
     for k, m in _rows(loose, n).items():
         rows[k] |= m
     return rows
-
-
-def all_closed_sets(s: DiscreteSpace, budget: int) -> list[int]:
-    if 1 << s.n > budget:
-        raise BudgetExceeded(
-            f"2^{s.n} closed-set candidates exceed the budget of {budget}"
-        )
-    pairs = _view(s).pairs
-    return [m for m in range(1 << s.n) if not _spread(m, pairs) & ~m]
 
 
 def enumerate_definable(

@@ -44,11 +44,7 @@ def allowed_states() -> list[GateState]:
     ]
 
 
-def state_join(s: GateState, t: GateState) -> GateState:
-    return GateState(max(s.in1, t.in1), max(s.in2, t.in2), max(s.out, t.out))
-
-
-# Geometry: vertex name -> coordinates, edge name -> (x_lo, x_hi, y(x), ends).
+# Geometry: vertex name -> coordinates, edge name -> its two end vertices.
 _F = Fraction
 
 VERTICES = {
@@ -63,15 +59,15 @@ VERTICES = {
 }
 
 EDGES = {
-    "TL": (_F(-2), _F(-1), "top", ("I1", "A")),
-    "TR": (_F(-1), _F(1), "top", ("A", "C")),
-    "BL": (_F(-2), _F(-1), "bot", ("I2", "B")),
-    "BR": (_F(-1), _F(1), "bot", ("B", "D")),
-    "UL": (_F(-1), _F(0), "diag-", ("A", "O")),
-    "LL": (_F(-1), _F(0), "diag+", ("B", "O")),
-    "UR": (_F(0), _F(1), "diag+", ("O", "C")),
-    "LR": (_F(0), _F(1), "diag-", ("O", "D")),
-    "OS": (_F(0), _F(2), "zero", ("O", "OUT")),
+    "TL": ("I1", "A"),
+    "TR": ("A", "C"),
+    "BL": ("I2", "B"),
+    "BR": ("B", "D"),
+    "UL": ("A", "O"),
+    "LL": ("B", "O"),
+    "UR": ("O", "C"),
+    "LR": ("O", "D"),
+    "OS": ("O", "OUT"),
 }
 
 EDGE_ORDER = ("TL", "TR", "BL", "BR", "UL", "LL", "UR", "LR", "OS")
@@ -79,13 +75,6 @@ VERTEX_ORDER = ("I1", "I2", "A", "B", "C", "D", "O", "OUT")
 
 TOP_LOBE_EDGES = ("TL", "TR", "UL", "UR")
 BOTTOM_LOBE_EDGES = ("BL", "BR", "LL", "LR")
-
-
-def in_crisp_region(x: Fraction, y: Fraction) -> bool:
-    """The horizontals and the outer output segment carry the discrete metric."""
-    if -2 <= x <= 1 and (y == 1 or y == -1):
-        return True
-    return 1 <= x <= 2 and y == 0
 
 
 @dataclass(frozen=True)
@@ -147,7 +136,7 @@ def _template(n: int):
     rows: dict = {1: [], -1: []}  # offset k -> cells y with y + k in min_open(y)
     edge_records = []
     for ename in EDGE_ORDER:
-        ends = tuple(VERTEX_ORDER.index(v) for v in EDGES[ename][3])
+        ends = tuple(VERTEX_ORDER.index(v) for v in EDGES[ename])
         (xa, ya), (xb, yb) = grid[ends[0]], grid[ends[1]]
         slope = (yb - ya) // (xb - xa)
         first = len(cells)  # interior cell j (1-based) is first + j - 1
@@ -169,7 +158,8 @@ def _template(n: int):
         rows.setdefault(last - ends[1], []).append(ends[1])
         edge_records.append((ename, range(first, len(cells)), ends))
 
-    # same-x cells outside the crisp region (see in_crisp_region) are metric
+    # the horizontals (|y| = 1, x <= 1) and the outer output segment (y = 0,
+    # x >= 1) carry the discrete metric; other same-x cells are metric
     # witnesses at the larger |y|
     by_x: dict = {}  # X -> (|Y|, cell) for the cells outside the crisp region
     for i, (x, y) in enumerate(grid):
@@ -350,17 +340,9 @@ def _edge_table(dc: DiscretizedComplex, cap: int | None, *columns):
     return size, pinned, *(_doubled(0, col) for col in columns)
 
 
-def saturated_count(dc: DiscretizedComplex, cap: int | None = None) -> int:
-    """Size of the saturated candidate family.
-
-    With a cap, stops early and returns cap + 1 as soon as the family is
-    known to exceed it; this keeps many-gate complexes from exploding the
-    count computation itself.
-    """
-    try:
-        return _edge_table(dc, cap)[0]
-    except BudgetExceeded:
-        return cap + 1
+def saturated_count(dc: DiscretizedComplex) -> int:
+    """Size of the saturated candidate family."""
+    return _edge_table(dc, None)[0]
 
 
 def saturated_candidates(dc: DiscretizedComplex, budget: int = 1 << 20):

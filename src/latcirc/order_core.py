@@ -421,18 +421,6 @@ def closed_sets(n: int, close) -> list[int]:
 # Filters
 
 
-def is_filter(m: MeetSemilattice, members: frozenset[int]) -> bool:
-    """Up-closed and meet-closed; the empty set counts (vacuously)."""
-    for a in members:
-        if any(b not in members for b in bits(m.poset.up[a])):
-            return False
-    for a in members:
-        for b in members:
-            if m.meet[a][b] not in members:
-                return False
-    return True
-
-
 def _filter_closure(m: MeetSemilattice):
     """Filter generation as a Horn closure: a => up(a), and a, b => a ^ b.
 
@@ -454,18 +442,6 @@ def filters(m: MeetSemilattice, include_empty: bool = False) -> list[frozenset[i
     """All filters of ``m``, in ascending element-index-bitmask order."""
     masks = sorted(closed_sets(m.n, _filter_closure(m)))
     return [frozenset(bits(mask)) for mask in masks if mask or include_empty]
-
-
-def principal_filter(m: MeetSemilattice, a: int) -> frozenset[int]:
-    return frozenset(bits(m.poset.up[a]))
-
-
-def generated_filter(m: MeetSemilattice, seed) -> frozenset[int]:
-    """Smallest filter containing ``seed``."""
-    mask = 0
-    for a in seed:
-        mask |= 1 << a
-    return frozenset(bits(_filter_closure(m)(mask)))
 
 
 def filter_label(m: MeetSemilattice, members: frozenset[int]) -> str:
@@ -580,16 +556,6 @@ def n5() -> FiniteLattice:
         poset_from_pairs(
             ["0", "a", "b", "c", "1"],
             [("0", "a"), ("a", "1"), ("0", "b"), ("b", "c"), ("c", "1")],
-        )
-    )
-
-
-def m3() -> FiniteLattice:
-    """The diamond with three atoms."""
-    return as_lattice(
-        poset_from_pairs(
-            ["0", "p", "q", "r", "1"],
-            [("0", "p"), ("0", "q"), ("0", "r"), ("p", "1"), ("q", "1"), ("r", "1")],
         )
     )
 

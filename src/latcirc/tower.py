@@ -105,16 +105,9 @@ class LimitSet:
         """The compactification rule: co-compact sets hold the added point."""
         return self.tail == FULL
 
-    def state(self, i: int) -> str:
-        if self.beta is None or i > self.beta:
-            return self.tail
-        if i == self.beta:
-            return E_STATE
-        return EMPTY if self.tail == FULL else FULL
-
 
 class LimitFamily:
-    """Order/join/meet queries over a symbolic limit family.
+    """Order and meet queries over a symbolic limit family.
 
     Chains are totally ordered; the exact pair adds two incomparable sets on
     top of the chain.  Everything reduces to a finite case analysis on
@@ -169,15 +162,6 @@ class LimitFamily:
             return all(x <= y for x, y in zip(u.gadget, v.gadget))
         # chain sets sit below every whole-chain set, never above
         return lv is None
-
-    def join(self, u: LimitSet, v: LimitSet) -> LimitSet:
-        if self.leq(u, v):
-            return v
-        if self.leq(v, u):
-            return u
-        # only incomparable pair shapes are exact-pair tail-full sets
-        g = (max(u.gadget[0], v.gadget[0]), max(u.gadget[1], v.gadget[1]))
-        return LimitSet(self.kind, FULL, gadget=g)
 
     def meet_exists(self, u: LimitSet, v: LimitSet) -> LimitSet | None:
         """The greatest lower bound when it exists, else None.
@@ -385,7 +369,8 @@ def _suspect_pairs(a: DiscreteSpace, b: DiscreteSpace, emb) -> list:
 
 @dataclass(frozen=True)
 class PiecewiseLinearFn:
-    """Exact piecewise-linear function on [0, x_max], positive into (0, 1]."""
+    """Exact piecewise-linear function, constant beyond its end breakpoints,
+    with values in (0, 1]."""
 
     points: tuple[tuple[Fraction, Fraction], ...]
 
@@ -398,10 +383,6 @@ class PiecewiseLinearFn:
         for _, v in self.points:
             if not 0 < v <= 1:
                 raise ValueError(f"value {v} outside (0, 1]")
-
-    @property
-    def x_max(self) -> Fraction:
-        return self.points[-1][0]
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)

@@ -17,6 +17,7 @@ from latcirc import gate
 from latcirc import order_core as oc
 from latcirc import tower
 from latcirc.tower import TowerKind
+from references import sliced_base
 
 
 def _verdict(num: int, ok: bool, detail: str, started: float, limit: float):
@@ -205,8 +206,6 @@ def test_criterion_09_y0_truncations():
 
 def test_criterion_10_w_construction():
     started = time.time()
-    from tests.test_tower import sliced_base
-
     base = sliced_base(pairs_per_slice=2, top_slice=4)  # 10 cells -> 30 in W
     h1, h2 = tower.default_turn_functions(6)
     w = tower.build_W(base, h1, h2)

@@ -10,6 +10,7 @@ from latcirc import circuit as cc
 from latcirc import finspace as fs
 from latcirc import gate
 from latcirc import order_core as oc
+from references import m3, template_table
 
 
 def brute_assignments(c):
@@ -140,7 +141,7 @@ MINIMUM_SIZES = [
     ("chain4", oc.chain(4), 2),
     ("b2", _lattice("0ab1", "0a 0b a1 b1"), 3),
     ("chain5", oc.chain(5), 3),
-    ("m3", oc.m3(), 5),
+    ("m3", m3(), 5),
     ("n5", oc.n5(), 4),
     ("b2_low", _lattice("0tab1", "0t ta tb a1 b1"), 4),
     ("b2_high", _lattice("0abt1", "0a 0b at bt t1"), 5),
@@ -171,7 +172,7 @@ class TestExactMinimal:
         assert c.origin[2] == tuple((i, i, i + 1) for i in range(k - 2))
 
     def test_triples_in_qualifying_order(self):
-        lat = oc.m3()
+        lat = m3()
         triples = cc.build_minimal(lat).origin[2]
         order = cc.qualifying_triples(lat)
         assert list(triples) == sorted(triples, key=order.index)
@@ -179,7 +180,7 @@ class TestExactMinimal:
 
 class TestDefinableAssignments:
     @pytest.mark.parametrize(
-        "lat,count", [(oc.chain(2), 2), (oc.chain(3), 3), (oc.n5(), 5), (oc.m3(), 5)]
+        "lat,count", [(oc.chain(2), 2), (oc.chain(3), 3), (oc.n5(), 5), (m3(), 5)]
     )
     def test_counts(self, lat, count):
         c = cc.build_full(lat)
@@ -193,7 +194,7 @@ class TestDefinableAssignments:
             c = cc.build_full(lat)
             assert spelled(c) == brute_assignments(c)
 
-    @pytest.mark.parametrize("lat", [oc.chain(2), oc.chain(4), oc.n5(), oc.m3()])
+    @pytest.mark.parametrize("lat", [oc.chain(2), oc.chain(4), oc.n5(), m3()])
     def test_off_sets_biject_with_filters(self, lat):
         m = lat
         c = cc.build_full(lat)
@@ -227,7 +228,7 @@ class TestSemilattice:
             assert oc.iso(assignment_lattice(cc.build_full(lat)), lat) is not None
 
     def test_join_is_pointwise_max(self):
-        asgs = set(cc.definable_assignments(cc.build_full(oc.m3())))
+        asgs = set(cc.definable_assignments(cc.build_full(m3())))
         for a in asgs:
             for b in asgs:
                 assert a | b in asgs
@@ -488,8 +489,6 @@ class TestFactorizationPreconditions:
         return dc, gate.discretize(3)
 
     def _with_dist(self, dc, a, b, d):
-        from test_gate import template_table
-
         dist = dict(dc.space.dist)
         dist[(a, b) if a < b else (b, a)] = d
         # replace drops the view, the complex's only topology: give it a table

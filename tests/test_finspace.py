@@ -1,7 +1,6 @@
 import itertools
 import random
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -14,6 +13,10 @@ from latcirc import finspace as fs
 from latcirc import gate
 from latcirc import order_core as oc
 from latcirc.finspace import Cell, DiscreteSpace
+from references import (
+    all_closed_sets, all_pairs_build_W, assert_view_is_reference, is_crisp,
+    reference_solder, same_space, seeded_masks, sliced_base, template_table,
+)
 
 
 def edge_with_ends():
@@ -348,12 +351,6 @@ def packed_why_not(s, d, r_min, opens):
     return f"fails containment in int(expand) at threshold {r} (cell {where})"
 
 
-def seeded_masks(s, count, seed):
-    """Raw cell masks, closed or not, drawn uniformly from the space's subsets."""
-    rng = random.Random(seed)
-    return [rng.getrandbits(s.n) for _ in range(count)]
-
-
 def parent_random_closed_sets(s, count, seed):
     """random_closed_sets as it was before the offset masks: one full-width
     closure mask ORed per drawn cell."""
@@ -372,11 +369,9 @@ def parent_random_closed_sets(s, count, seed):
 
 class TestOffsetKernelMatchesPackedTable:
     """The offset kernel gives the packed table's verdict and witness, the
-    table built from test_gate.template_table's minimal opens."""
+    table built from template_table's minimal opens."""
 
     def _same(self, dc, pool, r_min):
-        from test_gate import template_table
-
         s, opens = dc.space, template_table(dc)
         for d in pool:
             assert fs.why_not_definable(s, d, r_min) == packed_why_not(s, d, r_min, opens), bin(d)
@@ -504,9 +499,7 @@ def radii_of(values):
 
 
 def complex_case(dc):
-    """A complex's space and test_gate.template_table's table for it."""
-    from test_gate import template_table
-
+    """A complex's space and template_table's table for it."""
     return dc.space, template_table(dc)
 
 
@@ -643,20 +636,18 @@ class TestCompiledViewIsInvisible:
         before = repr(s)
         for d in fs.random_closed_sets(s, 20, seed=2):
             fs.is_definable(s, d, F(2, 3))
-        assert s == fresh and fresh == s
+        assert same_space(s, fresh)
         assert repr(s) == before and "View" not in before
         assert repr(s) == repr(fresh)
 
     def test_assembled_spaces_compare_topology(self):
-        # no table on either side, so == reads the minimal opens off the views
+        # no table on either side, so the minimal opens are read off the views
         other = DiscreteSpace(edge_with_ends().cells, (0b001, 0b010, 0b110), {})
         a = fs.coproduct(edge_with_ends(), crisp_points(1))
         b = fs.coproduct(other, crisp_points(1))
         assert a.min_open is None and b.min_open is None
-        assert a != b and b != a
-        assert a == fs.coproduct(edge_with_ends(), crisp_points(1))
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(a)
+        assert not same_space(a, b)
+        assert same_space(a, fs.coproduct(edge_with_ends(), crisp_points(1)))
 
     def test_two_floors_on_one_space(self):
         dg = gate.discretize(4)
@@ -674,75 +665,12 @@ class TestCompiledViewIsInvisible:
                 assert [fs.is_definable(shared, d, r) for d in pool] == want[r]
 
 
-def reference_view(s, opens):
-    """_View.__init__ as it was before views were placed from their parts,
-    kept as the referee: one walk over opens, a full-width minimal-open
-    table built without the view, gives the closure tuple and the offset
-    masks; then the sorted distance values."""
-    n = s.n
-    cl = [1 << i for i in range(n)]
-    rows = defaultdict(list)  # offset k -> cells y with y + k in min_open(y)
-    for y in range(n):
-        for x in fs.bits(opens[y]):
-            if x != y:
-                cl[x] |= 1 << y
-                rows[x - y].append(y)
-    closure = tuple(cl)
-    offsets = {}  # offset k -> its cl | min_open << n mask
-    for k, ys in rows.items():
-        fs._add_both_ways(offsets, k, fs._mask(ys, n), n, 0)
-    vals = set(s.dist.values())
-    if len(s.dist) < n * (n - 1) // 2:
-        vals.add(F(1))
-    return closure, offsets, tuple(sorted(vals))
-
-
-def reference_kernel(s, offsets, values, r_min):
-    """_View.kernel's entry as it was, from the reference offsets: the near
-    block at the smallest threshold above r_min, read off every stored pair."""
-    i = bisect_right(values, r_min)
-    r0 = values[i] if i < len(values) and values[i] <= 1 else None
-    table = dict(offsets)
-    if r0 is not None:
-        rows = defaultdict(list)  # offset k -> cells a with a + k near a
-        for (a, b), d in s.dist.items():
-            if d < r0 and a != b:
-                rows[b - a].append(a)
-        for k, xs in rows.items():
-            fs._add_both_ways(table, k, fs._mask(xs, s.n), 2 * s.n, 2 * s.n)
-    return r0, fs._pairs(table)
-
-
-def assert_view_is_reference(s, floor, opens, walked=False):
-    """The view of s equals the reference walked from the minimal-open table
-    opens in offset pairs, values, kernel entries at the floor, at 0 and at
-    1, closure_masks() and open_masks().  Unless walked, s must already hold
-    its view or what solder left to place it from, so the view checked is
-    not one walked from min_open."""
-    assert (s._compiled is None) == walked
-    closure, offsets, values = reference_view(s, opens)
-    view = fs._view(s)
-    assert view.pairs == fs._pairs(offsets)
-    assert view.values == values
-    for r in (floor, F(0), F(1)):
-        assert view.kernel(s, r) == reference_kernel(s, offsets, values, r), r
-    assert s.closure_masks() == closure
-    assert s.open_masks() == tuple(opens)
-    for d in seeded_masks(s, 5, seed=s.n):
-        want = d
-        for x in fs.bits(d):
-            want |= closure[x]
-        assert fs.closure(s, d) == want
-
-
 class TestPlacedViewMatchesReference:
     """Views placed from parts by solder against the reference walk (the
     gate complexes themselves are in test_gate.py)."""
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_free_points(self, n):
-        from test_gate import template_table
-
         for labels, order in (([("a", "b", "c")], ("a", "b", "c", "z")),
                               ([("a", "a", "b")], ("y", "a", "b", "z")),
                               ([], ("x", "y"))):
@@ -754,8 +682,6 @@ class TestPlacedViewMatchesReference:
         for k in (0, 1, 3):
             s = fs.coproduct(*parts[:k])
             assert_view_is_reference(s, F(2, 3), reference_solder(parts[:k], (), None)[1])
-        from test_gate import template_table
-
         dd = gate.discretize_dagger(4)
         dg = dd.space
         opens = reference_solder([replace(dg, min_open=template_table(dd))] * 3, (), None)[1]
@@ -769,8 +695,6 @@ class TestPlacedViewMatchesReference:
 
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_build_W(self, pairs):
-        from test_tower import all_pairs_build_W, sliced_base
-
         from latcirc import tower
 
         turns = tower.default_turn_functions(5)
@@ -779,8 +703,6 @@ class TestPlacedViewMatchesReference:
         assert_view_is_reference(w, F(1, 4), opens, walked=True)
 
     def test_replace_dist_never_keeps_a_stale_view(self):
-        from test_gate import template_table
-
         dc = gate.discretize(4)
         s = dc.space
         fs._view(s).kernel(s, dc.r_min)  # compiled, with a kernel entry
@@ -803,8 +725,6 @@ class TestPlacedViewMatchesReference:
         assert fs.thresholds(replace(s, min_open=s.open_masks(), dist={}), F(0)) == [F(1)]
 
     def test_retag_keeps_the_view(self):
-        from test_gate import template_table
-
         dc = gate.build_complex([("a", "b", "c")], 4)
         s = dc.space
         t = fs.retag(s, [fs.Cell(c.id, c.dim, "x") for c in s.cells], F(1, 8))
@@ -812,42 +732,6 @@ class TestPlacedViewMatchesReference:
         assert_view_is_reference(t, F(1, 2), template_table(dc))
         with pytest.raises(ValueError, match="retag needs"):
             fs.retag(s, s.cells[1:])
-
-
-def reference_solder(parts, groups, tags):
-    """coproduct and then solder as they were before solder took the parts,
-    kept as the referee: every minimal open shifted to its block, then
-    remapped bit by bit through the old-id -> new-id map."""
-    cells, min_open, dist = [], [], {}
-    for s in parts:
-        off = len(cells)
-        cells += [Cell(off + c.id, c.dim, c.tag) for c in s.cells]
-        min_open += [m << off for m in s.min_open]
-        for (a, b), d in s.dist.items():
-            dist[(a + off, b + off)] = d
-    group_of = {c: gi for gi, g in enumerate(groups) for c in g}
-    old_to_new, new_cells, group_new = [-1] * len(cells), [], {}
-    for i, c in enumerate(cells):
-        gi = group_of.get(i)
-        if gi is not None and gi in group_new:
-            old_to_new[i] = group_new[gi]
-            continue
-        tag = c.tag
-        if gi is not None:
-            group_new[gi] = len(new_cells)
-            if tags is not None and tags[gi] is not None:
-                tag = tags[gi]
-        old_to_new[i] = len(new_cells)
-        new_cells.append(Cell(len(new_cells), c.dim, tag))
-    new_open = [0] * len(new_cells)
-    for i, m in enumerate(min_open):
-        for y in fs.bits(m):
-            new_open[old_to_new[i]] |= 1 << old_to_new[y]
-    new_dist = {}
-    for (a, b), d in dist.items():
-        na, nb = old_to_new[a], old_to_new[b]
-        new_dist[(na, nb) if na < nb else (nb, na)] = d
-    return tuple(new_cells), tuple(new_open), list(new_dist.items()), tuple(old_to_new)
 
 
 @st.composite
@@ -884,7 +768,7 @@ class TestSolderMatchesReference:
         assert s.min_open is (parts[0].min_open if alone else None)
         assert_view_is_reference(s, F(1, 4), opens, walked=alone)
         walked = DiscreteSpace(cells, opens, dict(dist), None, s.resolution)
-        assert s == walked and walked == s
+        assert same_space(s, walked)
 
 
 class TestNonPositiveResolution:
@@ -919,28 +803,12 @@ class TestIsOpenMetric:
         assert not fs.is_open_metric(s, F(0))
 
 
-class TestIsCrisp:
-    def test_whole_space(self):
-        dg = gate.discretize(3)
-        assert fs.is_crisp(dg.space, dg.space.full_mask)
-
-    def test_gate_vertices(self):
-        dg = gate.discretize(4)
-        for v in dg.vertices:
-            assert fs.is_crisp(dg.space, 1 << v)
-
-    def test_diamond_cell_not_crisp(self):
-        dg = gate.discretize(2)
-        mid = next(i for i, c in enumerate(dg.space.cells) if c.tag == "UR.v0")
-        assert not fs.is_crisp(dg.space, 1 << mid)
-
-
 class TestCoproduct:
     def test_two_points(self):
         s = fs.coproduct(fs.point_space("x"), fs.point_space("y"))
         assert s.n == 2 and fs.validate(s) == []
         assert s.distance(0, 1) == 1
-        assert fs.is_crisp(s, 0b01)
+        assert is_crisp(s, 0b01)
 
     def test_point_plus_gate_family(self):
         dg = gate.discretize(3)
@@ -985,7 +853,7 @@ class TestSolder:
         s = fs.coproduct(fs.point_space("x"), fs.point_space("y"))
         out, mapping = fs.solder([s], [(0, 1)], tags=["xy"])
         assert out.n == 1 and mapping == (0, 0)
-        assert fs.is_crisp(out, 0b1)
+        assert is_crisp(out, 0b1)
         assert fs.validate(out) == []
 
     def test_dagger_has_three_definable_sets(self):
@@ -1032,7 +900,7 @@ class TestSolder:
 class TestEnumerateDefinable:
     def test_one_crisp_point(self):
         s = fs.point_space()
-        assert fs.enumerate_definable(s, F(0), fs.all_closed_sets(s, 1 << 20)) == [0, 1]
+        assert fs.enumerate_definable(s, F(0), all_closed_sets(s)) == [0, 1]
 
     @pytest.mark.parametrize(
         "build, count",
@@ -1054,8 +922,6 @@ class TestEnumerateDefinable:
 
     def test_budget_error(self):
         s = crisp_points(8)
-        with pytest.raises(fs.BudgetExceeded, match="budget"):
-            fs.all_closed_sets(s, budget=16)
         with pytest.raises(fs.BudgetExceeded, match="budget"):
             fs.enumerate_definable(s, F(0), range(1 << s.n), budget=16)
 
@@ -1104,18 +970,13 @@ def gate_pair_case():
 
 
 def w_case():
-    from test_tower import sliced_base
-
     from latcirc import tower
 
     return tower.build_W(sliced_base(), *tower.default_turn_functions(5)).space, F(1, 4), []
 
 
 def w_table():
-    """The minimal-open table of w_case's space, from test_tower's
-    reference build of W."""
-    from test_tower import all_pairs_build_W, sliced_base
-
+    """The minimal-open table of w_case's space, from the reference build of W."""
     from latcirc import tower
 
     return all_pairs_build_W(sliced_base(), *tower.default_turn_functions(5)).space.min_open

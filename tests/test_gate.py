@@ -6,18 +6,9 @@ import pytest
 from latcirc import finspace as fs
 from latcirc import gate
 from latcirc.gate import GateState
-
-
-def template_table(dc):
-    """The minimal-open table of a complex, built without its view: the
-    one-gate template's own table mapped through dc.copies, and each cell
-    that no copy names (a free point) a singleton."""
-    one = gate._template(dc.n)[0].min_open
-    table = [0] * dc.space.n
-    for cells in dc.copies:
-        for i, m in enumerate(one):
-            table[cells[i]] |= fs.cellset(cells[x] for x in fs.bits(m))
-    return tuple(m or 1 << c for c, m in enumerate(table))
+from references import (
+    assert_view_is_reference, in_crisp_region, is_crisp, state_join, template_table,
+)
 
 
 class TestStates:
@@ -34,17 +25,11 @@ class TestStates:
             want = not (t[0] == 0 and t[1] == 0 and t[2] == 1)
             assert (GateState(*t) in allowed) == want
 
-    def test_join_examples(self):
-        assert gate.state_join(GateState(1, 0, 0), GateState(0, 1, 0)) == (1, 1, 0)
-        for s in gate.allowed_states():
-            assert gate.state_join(GateState(0, 0, 0), s) == s
-        assert gate.state_join(GateState(1, 1, 0), GateState(1, 0, 1)) == (1, 1, 1)
-
     def test_join_closed(self):
         allowed = set(gate.allowed_states())
         for s in allowed:
             for t in allowed:
-                assert gate.state_join(s, t) in allowed
+                assert state_join(s, t) in allowed
 
 
 class TestDiscretize:
@@ -107,7 +92,7 @@ class TestDiscretize:
                     (x1, y1), (x2, y2) = dg.reps[i], dg.reps[j]
                     if not owners[i] & owners[j]:
                         want = F(1)
-                    elif gate.in_crisp_region(x1, y1) or gate.in_crisp_region(x2, y2):
+                    elif in_crisp_region(x1, y1) or in_crisp_region(x2, y2):
                         want = F(1)
                     elif x1 != x2:
                         want = F(1)
@@ -168,7 +153,7 @@ class TestStateToCells:
         dg = gate.discretize(3)
         for s in gate.allowed_states():
             for t in gate.allowed_states():
-                u = gate.state_join(s, t)
+                u = state_join(s, t)
                 assert gate.state_to_cells(dg, u) == gate.state_to_cells(
                     dg, s
                 ) | gate.state_to_cells(dg, t)
@@ -182,7 +167,7 @@ class TestAssembly:
         assert z in dc.vertices and dc.reps[z] is None
         assert dc.space.min_open is None
         assert fs.open_hull(dc.space, 1 << z) == fs.closure(dc.space, 1 << z) == 1 << z
-        assert fs.is_crisp(dc.space, 1 << z)
+        assert is_crisp(dc.space, 1 << z)
         assert dc.pattern(1 << z) == (0, 0, 0, 1)
         res = gate.oracle(dc)
         assert res.pattern_set == {
@@ -217,13 +202,11 @@ SHAPES = {
 class TestPlacedViewMatchesReference:
     """Complex views placed from the one-gate template against the walk over
     template_table's full-width minimal opens (reference_view in
-    test_finspace.py)."""
+    references.py)."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 32])
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_five_solderings(self, shape, n):
-        from test_finspace import assert_view_is_reference
-
         dc = gate.build_complex([SHAPES[shape]], n)
         # only the plain shape solders nothing, and keeps the template's table
         assert (dc.space.min_open is None) == (shape != "plain")
@@ -231,15 +214,11 @@ class TestPlacedViewMatchesReference:
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_retagged_gates(self, n):
-        from test_finspace import assert_view_is_reference
-
         for dc in (gate.discretize(n), gate.discretize_dagger(n)):
             assert_view_is_reference(dc.space, dc.r_min, template_table(dc))
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
     def test_full_presentations_n4(self, size):
-        from test_finspace import assert_view_is_reference
-
         from latcirc import circuit as cc
         from latcirc import order_core as oc
 

@@ -6,11 +6,11 @@ import pytest
 
 from latcirc import circuit as cc
 from latcirc import finspace as fs
-from latcirc import gate
 from latcirc import order_core as oc
 from latcirc import tower
 from latcirc.finspace import Cell, DiscreteSpace
 from latcirc.tower import TowerKind
+from references import all_closed_sets, all_pairs_build_W, limit_state, same_space, sliced_base
 
 FC = TowerKind.FORWARD_CHAIN
 RC = TowerKind.REVERSE_CHAIN
@@ -38,22 +38,12 @@ def satisfies(gates, a) -> bool:
     )
 
 
-def sliced_base(pairs_per_slice=2, top_slice=5):
-    """Discrete-topology sliced test space: per slice, a pair at distance 1/2."""
-    cells, min_open, dist, slices = [], [], {}, []
-    i = 0
-    for s in range(top_slice + 1):
-        ids = []
-        for j in range(pairs_per_slice):
-            cells.append(Cell(i, 0, f"s{s}p{j}"))
-            min_open.append(1 << i)
-            slices.append(F(s))
-            ids.append(i)
-            i += 1
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                dist[(ids[a], ids[b])] = F(1, 2)
-    return DiscreteSpace(tuple(cells), tuple(min_open), dist, tuple(slices), F(1, 2))
+def least_upper_bound(fam, u, v, depth=8):
+    """The join of u and v read off the order: the one sampled upper bound
+    of both that lies below every other."""
+    ups = [w for w in fam.elements(depth) if fam.leq(u, w) and fam.leq(v, w)]
+    [least] = [w for w in ups if all(fam.leq(w, x) for x in ups)]
+    return least
 
 
 class TestTruncate:
@@ -125,7 +115,7 @@ class TestLimitSets:
     def test_tail_empty_has_finite_support(self):
         d = tower.LimitFamily(FC).d(4)
         assert d.tail == tower.EMPTY
-        assert all(d.state(i) == tower.EMPTY for i in range(5, 40))
+        assert all(limit_state(d, i) == tower.EMPTY for i in range(5, 40))
 
     def test_invalid_sequences_rejected(self):
         with pytest.raises(ValueError, match="tail state"):
@@ -160,9 +150,9 @@ class TestLimitSets:
 
     def test_joins_and_meets_on_chains(self):
         fam = tower.LimitFamily(FC)
-        assert fam.join(fam.d(2), fam.d(5)) == fam.d(5)
+        assert least_upper_bound(fam, fam.d(2), fam.d(5)) == fam.d(5)
         assert fam.meet_exists(fam.d(2), fam.d(5)) == fam.d(2)
-        assert fam.join(fam.d(2), fam.top()) == fam.top()
+        assert least_upper_bound(fam, fam.d(2), fam.top()) == fam.top()
         assert fam.meet_exists(fam.bot(), fam.d(1)) == fam.bot()
 
 
@@ -182,7 +172,7 @@ class TestExactPairFamily:
 
     def test_join_of_sides_is_top(self):
         fam = tower.LimitFamily(EP)
-        assert fam.join(fam.side("a"), fam.side("b")) == fam.top()
+        assert least_upper_bound(fam, fam.side("a"), fam.side("b")) == fam.top()
 
     def test_sides_incomparable_above_chain(self):
         fam = tower.LimitFamily(EP)
@@ -243,14 +233,14 @@ _OUT_IN = {tower.FULL: 1, tower.E_STATE: 0, tower.EMPTY: 0}
 def state_walk_restrict(d, n):
     kind = d.kind
     if kind is TowerKind.FORWARD_CHAIN:
-        mem = [_G_IN[d.state(i)] for i in range(n)]
-        mem.append(_OUT_IN[d.state(n - 1)])
+        mem = [_G_IN[limit_state(d, i)] for i in range(n)]
+        mem.append(_OUT_IN[limit_state(d, n - 1)])
     elif kind is TowerKind.REVERSE_CHAIN:
-        mem = [_OUT_IN[d.state(i)] for i in range(n)]
-        mem.append(_G_IN[d.state(n - 1)])
+        mem = [_OUT_IN[limit_state(d, i)] for i in range(n)]
+        mem.append(_G_IN[limit_state(d, n - 1)])
     else:
         chain_full = d.tail == tower.FULL
-        mem = [_G_IN[d.state(i)] if not chain_full else 1 for i in range(n)]
+        mem = [_G_IN[limit_state(d, i)] if not chain_full else 1 for i in range(n)]
         mem.append(1 if chain_full else 0)
         mem += [d.gadget[0], d.gadget[1]]
     return tuple(mem)
@@ -293,7 +283,7 @@ class TestBreakpointForm:
                         except ValueError:
                             pass
                     has = any(
-                        all(u.state(i) == x for i, x in enumerate(seq))
+                        all(limit_state(u, i) == x for i, x in enumerate(seq))
                         for u in shapes
                     )
                     assert has == soldered(kind, seq), (kind, seq)
@@ -428,10 +418,10 @@ class TestBuildW:
         w = tower.build_W(base, h1, h2)
         n = base.n
         base_defs = fs.enumerate_definable(
-            base, F(1, 4), fs.all_closed_sets(base, 1 << 20)
+            base, F(1, 4), all_closed_sets(base)
         )
         w_defs = fs.enumerate_definable(
-            w.space, F(1, 4), fs.all_closed_sets(w.space, 1 << 20)
+            w.space, F(1, 4), all_closed_sets(w.space)
         )
         products = {
             d0 | (d1 << n) | (d2 << 2 * n)
@@ -605,42 +595,6 @@ def all_pairs_directed_system(stages, embeddings):
     )
 
 
-def all_pairs_build_W(s, f1, f2):
-    """build_W as it was, a coproduct of three retagged copies, with the
-    coproduct by test_finspace's reference_solder and every cross pair tried."""
-    from test_finspace import reference_solder
-
-    n = s.n
-    cells, opens, dist, _ = reference_solder([
-        replace(s, cells=tuple(
-            Cell(c.id, c.dim, f"c{i}:{c.tag or c.id}") for c in s.cells
-        ))
-        for i in range(3)
-    ], (), None)
-    dist = dict(dist)
-
-    def cross(i, j, v):
-        if (i, j) in ((0, 1), (1, 0)):
-            return f1(v)
-        if (i, j) in ((0, 2), (2, 0)):
-            return f2(v)
-        return min(f1(v) + f2(v), F(1))
-
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for a in range(n):
-                for b in range(n):
-                    if s.slices[a] != s.slices[b]:
-                        continue
-                    f = cross(i, j, s.slices[a])
-                    d = max(s.distance(a, b), f)
-                    if d < 1:
-                        dist[(i * n + a, j * n + b)] = d
-    copy_of = tuple(i for i in range(3) for _ in range(n))
-    w = DiscreteSpace(cells, opens, dist, s.slices * 3, s.resolution)
-    return tower.WSpace(w, copy_of, tuple(range(n)) * 3)
-
-
 def all_pairs_cover_radius(w, r):
     s = w.space
     bad = []
@@ -766,5 +720,6 @@ def test_build_w_and_cover_match_all_pairs_reference(base, f1, f2, r):
     w = tower.build_W(base, f1, f2)
     ref = all_pairs_build_W(base, f1, f2)
     assert list(w.space.dist.items()) == list(ref.space.dist.items())
-    assert w == ref
+    assert same_space(w.space, ref.space)
+    assert (w.copy_of, w.base_cell) == (ref.copy_of, ref.base_cell)
     assert tower.check_cover_radius(w, r) == all_pairs_cover_radius(ref, r)
