@@ -23,8 +23,6 @@ from fractions import Fraction
 from . import circuit as circuit_mod
 from . import finspace, gate, order_core, tower
 
-DEFAULT_BUDGET = 1 << 20
-
 
 class InputError(Exception):
     pass
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-candidates",
         type=int,
-        default=DEFAULT_BUDGET,
+        default=finspace.DEFAULT_BUDGET,
         help="bound on exhaustive-search candidates (error when exceeded)",
     )
     sub = p.add_subparsers(dest="cmd", required=True)

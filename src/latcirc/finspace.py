@@ -29,9 +29,9 @@ by one shift keeps its rows, which land at every copy's shift at once as the
 product with a mask holding one bit per copy; only the rows that cross runs,
 at the soldered terminals, are mapped one by one.  Such an assembled space
 has min_open None, so no full-width mask is made: the view is the only store
-of its topology, and open_masks() reads the minimal opens off it.  retag
-keeps the view across new cells or a new pitch; dataclasses.replace drops
-it, as it must when min_open or dist change.
+of its topology, and open_masks() reads the minimal opens off it.  A view
+never passes to another space: dataclasses.replace drops it, as it must
+when min_open or dist change.
 
 Definability needs only the smallest threshold r0 above the floor.  The
 expansion of d grows with r and interior is monotone, so d inside
@@ -71,6 +71,7 @@ from itertools import islice, repeat, starmap
 from math import gcd, lcm
 from operator import lt
 
+DEFAULT_BUDGET = 1 << 20  # candidates an exhaustive search may draw
 _PACK_BITS = 1 << 16  # bits of one pack of candidates in enumerate_definable
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # drawn flags as binary digits
 
@@ -317,24 +318,6 @@ def compiled(s: DiscreteSpace, rows: dict) -> DiscreteSpace:
     return s
 
 
-def retag(s: DiscreteSpace, cells=None, resolution=None) -> DiscreteSpace:
-    """s with other cells (as many, e.g. with other tags) or another pitch.
-
-    The view comes along, compiled or not, since it reads neither;
-    dataclasses.replace would drop it, as it must when min_open or dist
-    change.
-    """
-    cells = s.cells if cells is None else tuple(cells)
-    if len(cells) != s.n:
-        raise ValueError(f"retag needs {s.n} cells, got {len(cells)}")
-    out = DiscreteSpace(
-        cells, s.min_open, s.dist, s.slices,
-        s.resolution if resolution is None else resolution,
-    )
-    object.__setattr__(out, "_compiled", s._compiled)
-    return out
-
-
 def validate(s: DiscreteSpace) -> list[str]:
     """Invariant diagnostics; empty list means the space is well formed.
 
@@ -555,18 +538,16 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, a.denominator * b.denominator)
 
 
-def solder(
-    parts, groups, tags=None
-) -> tuple[DiscreteSpace, tuple[int, ...]]:
+def solder(parts, groups) -> tuple[DiscreteSpace, tuple[int, ...]]:
     """The coproduct of parts with each group of crisply embedded 0-cells
     identified to one cell.
 
     Old ids number the parts block by block, as coproduct does; groups and
     the returned old-id -> new-id map use them.  New ids follow first
-    occurrence, a group materializing at its least member and taking its
-    tag from tags.  The merged cell's minimal open is the union of the
-    members'; its distance to any other cell is the minimum over members
-    (all 1 here, by crispness).
+    occurrence, a group materializing at its least member and keeping its
+    tag.  The merged cell's minimal open is the union of the members'; no
+    stored distance touches a member, by crispness, so it is at 1 from
+    every other cell, and the stored distances carry over one for one.
 
     Each part is cut into runs: the stretches of its cells that the map
     moves by one shift, a soldered cell being a run of its own.  The
@@ -630,21 +611,14 @@ def solder(
             nid = group_new.get(gi)
             if nid is None:
                 nid = group_new[gi] = len(cells)
-                tag = p.cells[local].tag
-                if tags is not None and tags[gi] is not None:
-                    tag = tags[gi]
-                cells.append(Cell(nid, 0, tag))
+                cells.append(Cell(nid, 0, p.cells[local].tag))
             old_to_new.append(nid)
             runs.append((local, local + 1, nid - local))
             at = local + 1
         loc = old_to_new[start:]
         for (a, b), d in p.dist.items():
             na, nb = loc[a], loc[b]
-            if na == nb:
-                continue
-            key = (na, nb) if na < nb else (nb, na)
-            if key not in dist or d < dist[key]:
-                dist[key] = d
+            dist[(na, nb) if na < nb else (nb, na)] = d
         res = _frac_gcd(res, p.resolution)
         placed.append((p, start, runs))
     old_to_new = tuple(old_to_new)
@@ -708,7 +682,7 @@ def enumerate_definable(
     s: DiscreteSpace,
     r_min: Fraction,
     candidates,
-    budget: int = 1 << 20,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[int]:
     """Members of the candidate family passing is_definable, ascending by mask.
 

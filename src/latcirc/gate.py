@@ -9,14 +9,14 @@ survive, with all distances exact Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
 from . import finspace
 # bits is no longer called here, but perfbench's tracer test reads gate.bits
-from .finspace import BudgetExceeded, Cell, DiscreteSpace, bits  # noqa: F401
+from .finspace import DEFAULT_BUDGET, BudgetExceeded, Cell, DiscreteSpace, bits  # noqa: F401
 
 
 class GateState(NamedTuple):
@@ -89,7 +89,8 @@ class DiscretizedComplex:
     """A discretized gate assembly: the space plus its saturated-family data.
 
     edges/vertices describe the original topological-graph structure after
-    soldering; terminals maps each terminal label to its (merged) cell.
+    soldering, edges copy by copy under the template's edge names;
+    terminals maps each terminal label to its (merged) cell.
     copies[g][i] is the cell that cell i of the one-gate template became in
     gate copy g: the copy's block of the soldering map, so the local
     numbering is the same for every copy and for a one-gate complex.
@@ -123,8 +124,8 @@ def _template(n: int):
     every cell has integer coordinates; each edge is the straight segment
     between its endpoint vertices.  The vertices come first, in
     VERTEX_ORDER, then each edge's interior in EDGE_ORDER, alternating
-    1-cells e0, e1, ... with 0-cells v0, v1, ...  Cell tags carry no copy
-    prefix.  Only the distances and the reps are Fractions, one per
+    1-cells e0, e1, ... with 0-cells v0, v1, ..., names that every copy in
+    a complex keeps.  Only the distances and the reps are Fractions, one per
     distinct value.  The space comes compiled: its offset rows are read off
     the incidences as they are made (a 0-cell opens into its flanks, a
     vertex into the end cell of each of its edges).
@@ -189,28 +190,27 @@ _TERMINAL_VERTICES = tuple(VERTEX_ORDER.index(v) for v in ("I1", "I2", "OUT"))
 def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComplex:
     """One gate copy per (in1, in2, out) label triple, soldered by label.
 
-    All terminals sharing a label are identified into a single crisp cell
-    tagged with that label.  A gate whose two input labels coincide is the
-    soldered-inputs variant; a triple with one label throughout collapses all
-    three terminals.  Each terminal_order label that no gate names becomes an
-    isolated crisp 0-cell, a free point.
+    All terminals sharing a label are identified into a single crisp cell.
+    A gate whose two input labels coincide is the soldered-inputs variant; a
+    triple with one label throughout collapses all three terminals.  Each
+    terminal_order label that no gate names becomes an isolated crisp
+    0-cell, a free point.  Raises ValueError when there is no gate.
 
     finspace.solder lays the copies of the one template side by side, each
     as one block, followed by the free points, and identifies the
     terminals; the template's compiled view is placed into the complex's on
-    first use, so no full-width mask is walked.
+    first use, so no full-width mask is walked.  Cells and edges keep the
+    template's names (a soldered terminal its least member's, a free point
+    point_space's): terminals and copies say which label and which copy a
+    cell belongs to.
     """
     if n < 2:
         raise ValueError(f"subdivision n must be >= 2, got {n}")
+    if not gate_labels:
+        raise ValueError("a gate complex needs at least one gate")
     tmpl, reps, edge_records = _template(n)
     size = tmpl.n
     k = len(gate_labels)
-    prefixes = [f"g{g}." for g in range(k)] if k > 1 else [""] * k
-    parts = [
-        finspace.retag(tmpl, [Cell(c.id, c.dim, p + c.tag) for c in tmpl.cells])
-        if p else tmpl
-        for p in prefixes
-    ]
     terminal_cells: dict = {}
     for g, labels in enumerate(gate_labels):
         for label, v in zip(labels, _TERMINAL_VERTICES):
@@ -220,31 +220,25 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
         if label not in terminal_cells:
             terminal_cells[label] = [k * size + len(free)]
             free.append(label)
-    points = [finspace.point_space(f"n.{label}") for label in free]
 
-    groups = []
-    group_tags = []
-    for label, ids in sorted(terminal_cells.items()):
-        uniq = sorted(set(ids))
-        if len(uniq) > 1:
-            groups.append(uniq)
-            group_tags.append(f"n.{label}")
-    space, old_to_new = finspace.solder([*parts, *points], groups, group_tags)
-    # the pitch is 1/n even without gate copies
-    space = finspace.retag(space, resolution=tmpl.resolution)
+    # each (gate, terminal) is its own old id, so a label's ids are distinct
+    groups = [ids for ids in terminal_cells.values() if len(ids) > 1]
+    space, old_to_new = finspace.solder(
+        [tmpl] * k + [finspace.point_space() for _ in free], groups
+    )
 
-    old_reps = reps * k + (None,) * len(points)
+    old_reps = reps * k + (None,) * len(free)
     new_reps: list = [None] * space.n
     for old, new in enumerate(old_to_new):
         new_reps[new] = old_reps[old]
     copies = tuple(old_to_new[g * size:(g + 1) * size] for g in range(k))
     edges = []
-    for pfx, cells in zip(prefixes, copies):
+    for cells in copies:
         for name, interior, (va, vb) in edge_records:
             # no interior cell is soldered, so the interior stays one block
             ea, eb = cells[va], cells[vb]
             mask = (1 << len(interior)) - 1 << cells[interior[0]] | 1 << ea | 1 << eb
-            edges.append(ComplexEdge(f"{pfx}{name}", mask, (ea, eb)))
+            edges.append(ComplexEdge(name, mask, (ea, eb)))
     terminals = {
         label: old_to_new[ids[0]] for label, ids in terminal_cells.items()
     }
@@ -264,28 +258,19 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
     )
 
 
-def _retagged(dc: DiscretizedComplex, labels) -> DiscretizedComplex:
-    """The complex with each listed terminal's cell tagged by its label."""
-    cells = list(dc.space.cells)
-    for label in labels:
-        cid = dc.terminals[label]
-        cells[cid] = Cell(cid, 0, label)
-    return replace(dc, space=finspace.retag(dc.space, cells))
-
-
 def discretize(n: int) -> DiscretizedComplex:
-    """The plain gate; terminal cells are tagged in1, in2, out."""
-    labels = ("in1", "in2", "out")
-    return _retagged(build_complex([labels], n, labels), labels)
+    """The plain gate, with terminals in1, in2 and out."""
+    return build_complex([("in1", "in2", "out")], n, ("in1", "in2", "out"))
 
 
 def discretize_dagger(n: int) -> DiscretizedComplex:
-    """The gate with both inputs soldered together; merged node tagged g."""
-    labels = ("g", "out")
-    return _retagged(build_complex([("g", "g", "out")], n, labels), labels)
+    """The gate with both inputs soldered together into the terminal g."""
+    return build_complex([("g", "g", "out")], n, ("g", "out"))
 
 
 def edge_mask(dc: DiscretizedComplex, name: str) -> int:
+    """The closure mask of the named template edge; in a multi-gate complex,
+    the first copy's."""
     for e in dc.edges:
         if e.name == name:
             return e.closure_mask
@@ -345,7 +330,7 @@ def saturated_count(dc: DiscretizedComplex) -> int:
     return _edge_table(dc, None)[0]
 
 
-def saturated_candidates(dc: DiscretizedComplex, budget: int = 1 << 20):
+def saturated_candidates(dc: DiscretizedComplex, budget: int = DEFAULT_BUDGET):
     """Every union of whole-edge closures plus extra original vertices.
 
     The family holds one definable set per allowed terminal pattern, not
@@ -386,7 +371,7 @@ class NoThreshold(ValueError):
 def oracle(
     dc: DiscretizedComplex,
     r_min: Fraction | None = None,
-    budget: int = 1 << 20,
+    budget: int = DEFAULT_BUDGET,
 ) -> OracleResult:
     """Saturated-family search for definable sets, pruned edge subset by
     edge subset.

@@ -21,8 +21,8 @@ class Poset:
     """A finite partial order over opaque element labels.
 
     ``up[i]`` is a bitmask whose bit ``j`` is set iff element ``i <= j``.
-    Construction validates distinct labels, reflexivity, antisymmetry, and
-    transitivity, so a ``Poset`` in hand is always a genuine partial order.
+    Construction validates distinct labels, reflexivity, transitivity and
+    antisymmetry, so a ``Poset`` in hand is always a genuine partial order.
     It is the one validator: the builders below only close and index.
     """
 
@@ -42,15 +42,18 @@ class Poset:
             if self.up[i] >> n:
                 raise OrderError("up mask references unknown element")
         for i in range(n):
-            for j in range(i + 1, n):
-                if self.up[i] >> j & 1 and self.up[j] >> i & 1:
-                    raise OrderError(
-                        "antisymmetry violation (cycle) between "
-                        f"{self.elements[i]!r} and {self.elements[j]!r}"
-                    )
-        for i in range(n):
             if any(self.up[j] & ~self.up[i] for j in bits(self.up[i])):
                 raise OrderError(f"leq not transitive at {self.elements[i]!r}")
+        # transitive and reflexive, i <= j <= i exactly when up[i] == up[j]
+        first: dict = {}
+        cycles = [(i, j) for j, m in enumerate(self.up)
+                  if (i := first.setdefault(m, j)) != j]
+        if cycles:
+            i, j = min(cycles)
+            raise OrderError(
+                "antisymmetry violation (cycle) between "
+                f"{self.elements[i]!r} and {self.elements[j]!r}"
+            )
 
     @property
     def n(self) -> int:

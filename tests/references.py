@@ -105,7 +105,7 @@ def template_table(dc):
     return tuple(m or 1 << c for c, m in enumerate(table))
 
 
-def reference_solder(parts, groups, tags):
+def reference_solder(parts, groups):
     """coproduct and then solder as they were before solder took the parts,
     kept as the referee: every minimal open shifted to its block, then
     remapped bit by bit through the old-id -> new-id map."""
@@ -123,13 +123,10 @@ def reference_solder(parts, groups, tags):
         if gi is not None and gi in group_new:
             old_to_new[i] = group_new[gi]
             continue
-        tag = c.tag
         if gi is not None:
             group_new[gi] = len(new_cells)
-            if tags is not None and tags[gi] is not None:
-                tag = tags[gi]
         old_to_new[i] = len(new_cells)
-        new_cells.append(Cell(len(new_cells), c.dim, tag))
+        new_cells.append(Cell(len(new_cells), c.dim, c.tag))
     new_open = [0] * len(new_cells)
     for i, m in enumerate(min_open):
         for y in fs.bits(m):
@@ -150,7 +147,7 @@ def all_pairs_build_W(s, f1, f2):
             Cell(c.id, c.dim, f"c{i}:{c.tag or c.id}") for c in s.cells
         ))
         for i in range(3)
-    ], (), None)
+    ], ())
     dist = dict(dist)
 
     def cross(i, j, v):

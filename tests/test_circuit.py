@@ -519,7 +519,9 @@ class TestFactorizationPreconditions:
         t = dc.terminals["r"]
         cells = list(dc.space.cells)
         cells[t] = fs.Cell(t, 1, cells[t].tag)
-        broken = replace(dc, space=fs.retag(dc.space, cells))
+        s = dc.space
+        broken = replace(dc, space=fs.DiscreteSpace(
+            tuple(cells), s.open_masks(), s.dist, None, s.resolution))
         with pytest.raises(AssertionError, match="not a 0-cell"):
             cc.check_factorization(broken, one, dc.r_min)
 

@@ -672,8 +672,7 @@ class TestPlacedViewMatchesReference:
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_free_points(self, n):
         for labels, order in (([("a", "b", "c")], ("a", "b", "c", "z")),
-                              ([("a", "a", "b")], ("y", "a", "b", "z")),
-                              ([], ("x", "y"))):
+                              ([("a", "a", "b")], ("y", "a", "b", "z"))):
             dc = gate.build_complex(labels, n, order)
             assert_view_is_reference(dc.space, dc.r_min, template_table(dc))
 
@@ -681,17 +680,17 @@ class TestPlacedViewMatchesReference:
         parts = [gate.discretize(3).space, edge_with_ends(), crisp_points(2)]
         for k in (0, 1, 3):
             s = fs.coproduct(*parts[:k])
-            assert_view_is_reference(s, F(2, 3), reference_solder(parts[:k], (), None)[1])
+            assert_view_is_reference(s, F(2, 3), reference_solder(parts[:k], ())[1])
         dd = gate.discretize_dagger(4)
         dg = dd.space
-        opens = reference_solder([replace(dg, min_open=template_table(dd))] * 3, (), None)[1]
+        opens = reference_solder([replace(dg, min_open=template_table(dd))] * 3, ())[1]
         assert_view_is_reference(fs.coproduct(dg, dg, dg), F(1, 2), opens)
 
     def test_solder_of_plain_spaces(self):
         parts, groups = [crisp_points(3), edge_with_ends(), edge_with_ends()], [(0, 3), (5, 8, 1)]
         s, mapping = fs.solder(parts, groups)
         assert mapping == (0, 1, 2, 0, 3, 1, 4, 5, 1)
-        assert_view_is_reference(s, F(0), reference_solder(parts, groups, None)[1])
+        assert_view_is_reference(s, F(0), reference_solder(parts, groups)[1])
 
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_build_W(self, pairs):
@@ -724,15 +723,6 @@ class TestPlacedViewMatchesReference:
                 use(t)
         assert fs.thresholds(replace(s, min_open=s.open_masks(), dist={}), F(0)) == [F(1)]
 
-    def test_retag_keeps_the_view(self):
-        dc = gate.build_complex([("a", "b", "c")], 4)
-        s = dc.space
-        t = fs.retag(s, [fs.Cell(c.id, c.dim, "x") for c in s.cells], F(1, 8))
-        assert t._compiled is s._compiled and t.resolution == F(1, 8)
-        assert_view_is_reference(t, F(1, 2), template_table(dc))
-        with pytest.raises(ValueError, match="retag needs"):
-            fs.retag(s, s.cells[1:])
-
 
 @st.composite
 def solderings(draw):
@@ -751,17 +741,16 @@ def solderings(draw):
         size = draw(st.integers(1, min(3, len(crisp) - at)))
         groups.append(tuple(crisp[at:at + size]))
         at += size
-    tags = [draw(st.sampled_from([None, f"n{i}"])) for i in range(len(groups))]
-    return parts, groups, tags
+    return parts, groups
 
 
 class TestSolderMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(solderings())
     def test_random_solderings(self, case):
-        parts, groups, tags = case
-        s, mapping = fs.solder(parts, groups, tags)
-        cells, opens, dist, want = reference_solder(parts, groups, tags)
+        parts, groups = case
+        s, mapping = fs.solder(parts, groups)
+        cells, opens, dist, want = reference_solder(parts, groups)
         assert (s.cells, list(s.dist.items()), mapping) == (cells, dist, want)
         alone = len(parts) == 1 and not groups
         # only a part laid as it is keeps a full-width table, its own
@@ -851,7 +840,7 @@ class TestCoproduct:
 class TestSolder:
     def test_two_crisp_points(self):
         s = fs.coproduct(fs.point_space("x"), fs.point_space("y"))
-        out, mapping = fs.solder([s], [(0, 1)], tags=["xy"])
+        out, mapping = fs.solder([s], [(0, 1)])
         assert out.n == 1 and mapping == (0, 0)
         assert is_crisp(out, 0b1)
         assert fs.validate(out) == []

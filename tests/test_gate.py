@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction as F
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -126,7 +127,8 @@ class TestDagger:
 
     def test_g_tag_present(self):
         dd = gate.discretize_dagger(2)
-        assert dd.space.cells[dd.terminals["g"]].tag == "g"
+        # the soldered inputs keep the tag of the lesser, I1
+        assert dd.space.cells[dd.terminals["g"]].tag == "I1"
 
 
 class TestStateToCells:
@@ -163,7 +165,7 @@ class TestAssembly:
     def test_gate_free_label_is_an_isolated_point(self):
         dc = gate.build_complex([("a", "b", "c")], 3, ("a", "b", "c", "z"))
         z = dc.terminals["z"]
-        assert dc.space.cells[z] == fs.Cell(z, 0, "n.z")
+        assert dc.space.cells[z] == fs.Cell(z, 0, "pt")
         assert z in dc.vertices and dc.reps[z] is None
         assert dc.space.min_open is None
         assert fs.open_hull(dc.space, 1 << z) == fs.closure(dc.space, 1 << z) == 1 << z
@@ -186,6 +188,24 @@ class TestAssembly:
         assert set(two.copies[0]) & set(two.copies[1]) == {two.terminals["c"]}
         for local, cell in enumerate(two.copies[1]):
             assert two.reps[cell] == one.reps[local]
+
+    def test_copies_keep_the_template_cells(self):
+        from latcirc import circuit as cc
+        from latcirc import order_core as oc
+
+        dc = cc.discretize(cc.build_full(oc.chain(4)), 4)
+        assert len(dc.copies) > 1
+        template = gate._template(4)[0].cells
+        uses = Counter(chain.from_iterable(dc.copies))
+        for cells in dc.copies:
+            for local, cell in enumerate(cells):
+                if uses[cell] == 1:  # not a soldered terminal
+                    want = template[local]
+                    assert dc.space.cells[cell] == fs.Cell(cell, want.dim, want.tag)
+
+    def test_no_gates_refused(self):
+        with pytest.raises(ValueError, match="at least one gate"):
+            gate.build_complex([], 3, ("x", "y"))
 
 
 # the five ways one gate's terminals can be soldered: all distinct, in1 = in2,

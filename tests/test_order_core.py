@@ -99,6 +99,11 @@ class TestParsePoset:
         with pytest.raises(oc.OrderError, match=match):
             oc.Poset(elements, up)
 
+    def test_cycle_names_the_least_pair(self):
+        # a = d and b = c: of the pairs (a, d) and (b, c), (a, d) comes first
+        with pytest.raises(oc.OrderError, match="between 'a' and 'd'"):
+            oc.Poset(("a", "b", "c", "d"), (0b1001, 0b0110, 0b0110, 0b1001))
+
 
 class TestAsLattice:
     def test_n5_meets_by_brute_force(self):
