@@ -86,32 +86,48 @@ def _reindex(l: FiniteLattice, triples) -> tuple[tuple[int, int, int], ...]:
 
 
 def build_full(l: FiniteLattice) -> Circuit:
-    """One node per non-top element, one gate per qualifying triple."""
+    """One node per non-top element, one gate per qualifying triple.
+
+    The gates are those of ``qualifying_triples`` in the same order, made
+    directly in node positions from each element's non-top up-set.
+    """
     if l.n < 2:
         raise ValueError("trivial lattice: circuits need at least two elements")
-    triples = qualifying_triples(l)
-    return Circuit(_node_labels(l), _reindex(l, triples), ("full", l, tuple(triples)))
+    lm = l.nontop()
+    above = [tuple(bits(_node_mask(l, up))) for up in l.poset.up]
+    gates = tuple([
+        (i, j, k)
+        for i, a in enumerate(lm)
+        for j, b in enumerate(lm)
+        for k in above[l.meet[a][b]]
+    ])
+    return Circuit(_node_labels(l), gates, ("full", l))
 
 
-def _first_gap(l: FiniteLattice, triples) -> int | None:
-    """Where forward chaining on the chosen rules falls short, or None.
+def _gap_finder(l: FiniteLattice):
+    """The test ``first_gap(rules)`` of rules in node positions.
 
-    Walks the pairs {a, b} of non-top nodes in index order and returns, as a
-    node-position bitmask, the closure of the first pair that misses a node
-    c >= a ^ b.
+    ``first_gap`` walks the pairs {a, b} of non-top nodes in index order and
+    returns, as a node-position bitmask, the closure under ``rules`` (as
+    ``horn_closure`` takes them) of the first pair that misses a node
+    c >= a ^ b, or None when forward chaining falls short nowhere.
     """
     lm = l.nontop()
-    pos = {a: i for i, a in enumerate(lm)}
-    close = horn_closure(
-        len(lm), [(pos[a], pos[b], 1 << pos[c]) for a, b, c in triples]
-    )
-    for i, a in enumerate(lm):
-        for j in range(i, len(lm)):
-            need = _node_mask(l, l.poset.up[l.meet[a][lm[j]]])
-            got = close(1 << i | 1 << j)
+    checks = [
+        (1 << i | 1 << j, _node_mask(l, l.poset.up[l.meet[a][lm[j]]]))
+        for i, a in enumerate(lm)
+        for j in range(i, len(lm))
+    ]
+
+    def first_gap(rules) -> int | None:
+        close = horn_closure(len(lm), rules)
+        for start, need in checks:
+            got = close(start)
             if need & ~got:
                 return got
-    return None
+        return None
+
+    return first_gap
 
 
 def is_adequate(l: FiniteLattice, triples) -> bool:
@@ -120,7 +136,9 @@ def is_adequate(l: FiniteLattice, triples) -> bool:
     For each qualifying (a, b, c), chaining from {off(a), off(b)} must reach
     off(c); that is exactly what pins the filter correspondence.
     """
-    return _first_gap(l, triples) is None
+    pos = {a: i for i, a in enumerate(l.nontop())}
+    rules = [(pos[a], pos[b], 1 << pos[c]) for a, b, c in triples]
+    return _gap_finder(l)(rules) is None
 
 
 def build_minimal(l: FiniteLattice) -> Circuit:
@@ -151,31 +169,33 @@ def _exact_minimal(l, all_triples):
     """
     pos = {a: i for i, a in enumerate(l.nontop())}
     rules = [
-        (t, 1 << pos[t[0]] | 1 << pos[t[1]], 1 << pos[t[2]])
+        (t, 1 << pos[t[0]] | 1 << pos[t[1]], (pos[t[0]], pos[t[1]], 1 << pos[t[2]]))
         for t in all_triples
         if t[0] <= t[1]
     ]
     required = {c for a, b, c in all_triples if c not in (a, b)}
+    first_gap = _gap_finder(l)
 
-    def search(chosen: list, barred: set, depth: int):
-        gap = _first_gap(l, chosen)
+    def search(chosen: list, placed: list, barred: set, depth: int):
+        gap = first_gap(placed)
         if gap is None:
             return chosen
         missing = len(required - {c for _, _, c in chosen})
         if len(chosen) + max(1, missing) > depth:
             return None
         barred = set(barred)
-        for t, premises, head in rules:
+        for t, premises, rule in rules:
+            head = rule[2]
             if t in barred or premises & ~gap or head & gap:
                 continue
-            found = search(chosen + [t], barred, depth)
+            found = search(chosen + [t], placed + [rule], barred, depth)
             if found is not None:
                 return found
             barred.add(t)
         return None
 
     for depth in range(len(required), len(rules) + 1):
-        found = search([], set(), depth)
+        found = search([], [], set(), depth)
         if found is not None:
             return tuple(t for t in all_triples if t in found)
     return tuple(all_triples)
@@ -357,9 +377,9 @@ def oracle(c: Circuit, n: int, budget: int) -> CircuitOracle:
     from the plain gate's terminal patterns.
 
     Why gluing is sound: build_complex lays its gate copies side by side
-    with finspace.coproduct, which puts every pair of cells from different
-    copies at distance 1, and soldering identifies only terminals, which
-    are crisp 0-cells.  A set is closed exactly when its
+    with finspace.solder, which puts every pair of cells from different
+    copies at distance 1 and identifies only terminals, which are crisp
+    0-cells.  A set is closed exactly when its
     part in each copy is.  A terminal's minimal open set is the union of its
     flanks in each copy, so the definability test U(d) & ~(d | N_r0(d)) == 0
     of finspace splits copy by copy, and every copy has the same distance

@@ -293,7 +293,14 @@ def horn_closure(n: int, rules):
     A rule ``(a, b, heads)`` adds the ``heads`` mask once ``a`` and ``b`` are
     both in the set; ``a == b`` makes it a one-premise rule.  Rules are indexed
     under their premises once, and the returned closure runs a worklist: each
-    element that enters the set looks only at its own rules.  ``close(s,
+    element that enters the set looks only at its own rules.  The heads of
+    the two-premise rules are merged per unordered premise pair, and each
+    element's partners are grouped by the merged heads of their pair, as
+    ``(heads, partner mask)``: an entering element adds each distinct head
+    mask whose partner mask meets the set, so it makes one test per
+    distinct head rather than one per partner.  In a full lattice
+    presentation a pair's heads are the up-set of the pair's meet, so an
+    element has as many groups as distinct meets with its partners.  ``close(s,
     todo)`` starts the worklist at ``todo`` instead of all of ``s``, which is
     sound when every rule whose premises lie in ``s & ~todo`` already holds:
     for a closed ``a``, ``close(a | bit, bit)`` looks at the new element only.
@@ -310,8 +317,9 @@ def horn_closure(n: int, rules):
     one-premise rule whose heads are in the reach already.  Dowling &
     Gallier (1984, "Linear-time algorithms for testing the satisfiability
     of propositional Horn formulae") make forward chaining linear by
-    following each implication once; here each one-premise implication
-    between lone elements is followed once per closure rather than once
+    following each implication once; here each distinct two-premise head
+    is followed once per entering element, and each one-premise implication
+    between lone elements once per closure rather than once
     per call, so the 2n or so calls that ``closed_sets`` makes on a chain
     of n one-premise rules cost O(n) steps in all instead of O(n) each.
 
@@ -323,14 +331,21 @@ def horn_closure(n: int, rules):
     starts empty.
     """
     single = [0] * n
-    paired: list[dict[int, int]] = [{} for _ in range(n)]
+    pairs: dict[int, int] = {}  # a * n + b with a < b -> heads
     for a, b, heads in rules:
         if a == b:
             single[a] |= heads
         else:
-            paired[a][b] = paired[a].get(b, 0) | heads
-            paired[b][a] = paired[b].get(a, 0) | heads
-    paired_items = [tuple(d.items()) for d in paired]
+            key = a * n + b if a < b else b * n + a
+            pairs[key] = pairs.get(key, 0) | heads
+    groups: list[dict[int, int]] = [{} for _ in range(n)]
+    for key, heads in pairs.items():
+        a, b = divmod(key, n)
+        group = groups[a]
+        group[heads] = group.get(heads, 0) | 1 << b
+        group = groups[b]
+        group[heads] = group.get(heads, 0) | 1 << a
+    paired_items = [tuple(group.items()) for group in groups]
     two = -1  # the premises of two-premise rules as a mask, made at the first walk
     walked = 0  # lone elements whose single[] entry is now their reach
     plain = 4 * n  # plain steps of lone elements left before walking begins
@@ -346,8 +361,8 @@ def horn_closure(n: int, rules):
             items = paired_items[x]
             if items:
                 new = single[x]
-                for y, heads in items:
-                    if s >> y & 1:
+                for heads, partners in items:
+                    if s & partners:
                         new |= heads
                 new &= ~s
                 s |= new

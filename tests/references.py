@@ -49,6 +49,79 @@ def limit_state(d, i):
     return tower.EMPTY if d.tail == tower.FULL else tower.FULL
 
 
+def closure_system_lattice(seed, ground: int, size: int):
+    """A seeded random lattice of exactly ``size`` elements: an
+    intersection-closed family of subsets of ``ground`` points with the full
+    set, ordered by inclusion (every finite lattice is one).  A draw that
+    overshoots the size starts again."""
+    rng = random.Random(seed)
+    full = (1 << ground) - 1
+    while True:
+        fam = {full}
+        while len(fam) < size:
+            new = rng.randrange(full)
+            fam |= {new} | {new & x for x in fam}
+        if len(fam) == size:
+            masks = sorted(fam)
+            return oc.inclusion_lattice([f"s{x}" for x in masks], masks)
+
+
+def partner_horn_closure(n: int, rules):
+    """``horn_closure`` as it was before it grouped partners by head mask,
+    kept as the referee: each element's two-premise rules are indexed per
+    partner, and an entering element tests one partner bit at a time.  The
+    one-premise reach, ``_walk`` and the plain-step budget are the library's."""
+    single = [0] * n
+    paired: list[dict[int, int]] = [{} for _ in range(n)]
+    for a, b, heads in rules:
+        if a == b:
+            single[a] |= heads
+        else:
+            paired[a][b] = paired[a].get(b, 0) | heads
+            paired[b][a] = paired[b].get(a, 0) | heads
+    paired_items = [tuple(d.items()) for d in paired]
+    two = -1
+    walked = 0
+    plain = 4 * n
+
+    def close(s: int, todo: int | None = None) -> int:
+        nonlocal two, walked, plain
+        if todo is None:
+            todo = s
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            x = low.bit_length() - 1
+            items = paired_items[x]
+            if items:
+                new = single[x]
+                for y, heads in items:
+                    if s >> y & 1:
+                        new |= heads
+                new &= ~s
+                s |= new
+                todo |= new
+                continue
+            if plain:
+                plain -= 1
+                new = single[x] & ~s
+                s |= new
+                todo |= new
+                continue
+            if not low & walked:
+                if not single[x] & ~low:
+                    continue
+                if two < 0:
+                    two = sum(1 << y for y, its in enumerate(paired_items) if its)
+                walked = oc._walk(x, single, two, walked)
+            new = single[x] & ~s
+            s |= new
+            todo |= new & two
+        return s
+
+    return close
+
+
 # ---------------------------------------------------------------------------
 # Spaces
 

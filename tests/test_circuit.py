@@ -10,7 +10,7 @@ from latcirc import circuit as cc
 from latcirc import finspace as fs
 from latcirc import gate
 from latcirc import order_core as oc
-from references import m3, template_table
+from references import closure_system_lattice, m3, partner_horn_closure, template_table
 
 
 def brute_assignments(c):
@@ -75,6 +75,28 @@ class TestBuildFull:
     def test_trivial_lattice_rejected(self):
         with pytest.raises(ValueError):
             cc.build_full(oc.chain(1))
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_gates_are_the_reindexed_qualifying_triples(self, k):
+        for lat in oc.all_lattices_up_to_iso(k):
+            want = cc._reindex(lat, cc.qualifying_triples(lat))
+            assert cc.build_full(lat).gates == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_16_element_gates(self, seed):
+        lat = closure_system_lattice(seed, 6, 16)
+        assert cc.build_full(lat).gates == cc._reindex(lat, cc.qualifying_triples(lat))
+
+    @pytest.mark.slow
+    def test_40_element_closure_system_verifies(self):
+        lat = closure_system_lattice(40, 10, 40)
+        c = cc.build_full(lat)
+        res = cc.verify_iso(lat, c)
+        assert res.ok, res.witness
+        assert len(res.assignments) == 40
+        rules = [(i, j, 1 << k) for i, j, k in c.gates]
+        want = oc.closed_sets(c.n, partner_horn_closure(c.n, rules))
+        assert oc.closed_sets(c.n, oc.horn_closure(c.n, rules)) == want
 
 
 class TestIsAdequate:

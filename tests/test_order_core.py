@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from latcirc import order_core as oc
 from latcirc import tower
 from latcirc.finspace import bits
-from references import m3
+from references import m3, partner_horn_closure
 
 
 def brute_filters(m, include_empty=False):
@@ -618,6 +618,59 @@ class TestChainClosure:
         n, rules = system
         want = next_closure(n, lambda s: fixpoint(rules, s))
         assert oc.closed_sets(n, oc.horn_closure(n, rules)) == want
+
+
+@st.composite
+def grouped_systems(draw, max_n=12):
+    """Rule sets whose two-premise rules share premise pairs and heads:
+    a few pairs, each given many rules in either premise order, heads of
+    one or more bits drawn from a small shared pool or fresh, and
+    one-premise chains mixed in."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    elem = st.integers(min_value=0, max_value=n - 1)
+    mask = st.integers(min_value=0, max_value=(1 << n) - 1)
+    pairs = draw(st.lists(
+        st.tuples(elem, elem).filter(lambda p: p[0] != p[1]), min_size=1, max_size=6))
+    pool = draw(st.lists(mask, min_size=1, max_size=4))
+    head = st.one_of(st.sampled_from(pool), mask)
+    rules = [
+        (b, a, h) if swap else (a, b, h)
+        for (a, b), h, swap in draw(st.lists(
+            st.tuples(st.sampled_from(pairs), head, st.booleans()), max_size=24))
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        run = draw(st.permutations(range(n)))[:draw(st.integers(min_value=2, max_value=n))]
+        rules += [(a, a, 1 << b) for a, b in zip(run, run[1:])]
+    rules += [(a, a, h) for a, h in draw(st.lists(st.tuples(elem, mask), max_size=3))]
+    return n, draw(st.permutations(rules))
+
+
+class TestGroupedPartners:
+    """``horn_closure`` groups each element's partners by head mask; the
+    per-partner kernel it replaced is the referee."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_systems(), st.randoms(use_true_random=False))
+    def test_close_matches_the_per_partner_kernel(self, system, rng):
+        n, rules = system
+        close, ref = oc.horn_closure(n, rules), partner_horn_closure(n, rules)
+        starts = [0] + [1 << i for i in rng.sample(range(n), n)]
+        starts += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(10)]
+        for s in starts:
+            assert close(s) == ref(s)
+        for s in starts:
+            a = ref(s)
+            for k in range(n):
+                bit = 1 << k
+                if not a & bit:
+                    assert close(a | bit, bit) == ref(a | bit, bit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_systems())
+    def test_closed_sets_match_the_per_partner_kernel(self, system):
+        n, rules = system
+        got = oc.closed_sets(n, oc.horn_closure(n, rules))
+        assert got == oc.closed_sets(n, partner_horn_closure(n, rules))
 
 
 @pytest.mark.parametrize("kind", list(tower.TowerKind), ids=lambda k: k.name)
