@@ -1,6 +1,6 @@
-"""Time the Horn closure kernel on seeded random lattices of 40, 80 and 150 elements.
+"""Time the Horn closure kernel on seeded random lattices of 40 to 300 elements.
 
-    python3 scripts/scale_horn.py [--sizes 40 80 150] [--seed 0] [--src SRC]
+    python3 scripts/scale_horn.py [--sizes 40 80 150 300] [--seed 0] [--src SRC]
 
 Each lattice is an intersection-closed family of subsets of 12 points with the
 full set, ordered by inclusion (every finite lattice is one).  The family is
@@ -13,13 +13,16 @@ the script runs two measures, each in a fresh interpreter:
   filter rules a => up(a) and a, b => a ^ b;
 - `verify_full`: `circuit.verify_iso(l, circuit.build_full(l))`, one gate per
   qualifying triple, so its closure has the most rules per premise pair.
+  The gates come as one bundle per ordered pair of nodes.
 
 It prints one JSON line per measure: the size, the measure, the gate count
-(for `verify_full`), the wall time of the measured call, the child process's
+(for `verify_full`, summed over the bundles' heads, so the gates are never
+listed one by one), the wall time of the measured call, the child process's
 peak RSS in MB (`resource.getrusage`, so it includes building the lattice,
 which is small) and the number of filters or assignments found.  SRC
 (default: this checkout's `src`) is put first on `sys.path` in each child,
-so two trees can be compared with the same script.
+so two trees can be compared with the same script; both need
+`Circuit.gate_count`.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def measure(src: str, size: int, seed: int, what: str) -> dict:
         if not res.ok:
             raise SystemExit(f"verify_iso failed at {size} elements: {res.witness}")
         found = len(res.assignments)
-        out["gates"] = len(c.gates)
+        out["gates"] = c.gate_count
     out["wall_s"] = round(time.perf_counter() - start, 3)
     out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     out["found"] = found
@@ -77,7 +80,7 @@ def measure(src: str, size: int, seed: int, what: str) -> dict:
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--sizes", type=int, nargs="+", default=[40, 80, 150])
+    p.add_argument("--sizes", type=int, nargs="+", default=[40, 80, 150, 300])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--src", default=str(ROOT / "src"))
     p.add_argument("--one", choices=MEASURES, help=argparse.SUPPRESS)

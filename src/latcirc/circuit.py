@@ -1,6 +1,7 @@
 """Gate circuits over lattices and their definable-set assignments.
 
-A circuit is a list of named nodes plus AND-gate triples (in1, in2, out).
+A circuit is a list of named nodes plus AND-gate triples (in1, in2, out),
+stored as bundles (in1, in2, heads) of the gates that share both inputs.
 An assignment is an int membership mask: bit i is set when node i lies in
 the definable set.  Assignments must avoid the one forbidden local pattern:
 both inputs out, output in.  Equivalently the complement sets are closed
@@ -22,23 +23,47 @@ from .finspace import DEFAULT_BUDGET, BudgetExceeded, bits
 from .order_core import FiniteLattice, MeetSemilattice, closed_sets, filters, horn_closure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Circuit:
+    """Nodes and gates, kept as bundles (i, j, heads): the gates (i, j, k)
+    for each bit k of ``heads``.  Triples in ``gates`` become one-head
+    bundles; bundles come in by keyword only, never with triples."""
+
     nodes: tuple[str, ...]
-    gates: tuple[tuple[int, int, int], ...]
+    bundles: tuple[tuple[int, int, int], ...]
     origin: tuple | None = None
 
-    def __post_init__(self):
-        if len(set(self.nodes)) != self.n:
+    def __init__(self, nodes, gates=(), origin=None, *, bundles=()):
+        n = len(nodes)
+        if len(set(nodes)) != n:
             raise ValueError("node labels must be unique")
-        used = set(chain.from_iterable(self.gates))
-        if used and not (0 <= min(used) and max(used) < self.n):
-            bad = next(g for g in self.gates if min(g) < 0 or max(g) >= self.n)
+        if gates and bundles:
+            raise ValueError("pass gates or bundles, not both")
+        used = set(chain.from_iterable(gates))
+        if used and not (0 <= min(used) and max(used) < n):
+            bad = next(g for g in gates if min(g) < 0 or max(g) >= n)
             raise ValueError(f"gate {bad} references an unknown node")
+        bad = [b for b in bundles if not (0 <= b[0] < n and 0 <= b[1] < n and 0 < b[2] < 1 << n)]
+        if bad:
+            raise ValueError(f"bundle {bad[0]} references an unknown node or has no heads")
+        object.__setattr__(self, "nodes", nodes)
+        own = tuple([(i, j, 1 << k) for i, j, k in gates])
+        object.__setattr__(self, "bundles", own + tuple(bundles))
+        object.__setattr__(self, "origin", origin)
 
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    @property
+    def gates(self) -> tuple[tuple[int, int, int], ...]:
+        """The gate triples, bundle by bundle, heads ascending."""
+        return tuple([(i, j, k) for i, j, heads in self.bundles for k in bits(heads)])
+
+    @property
+    def gate_count(self) -> int:
+        """``len(self.gates)`` without expanding the bundles."""
+        return sum(heads.bit_count() for _, _, heads in self.bundles)
 
 
 def spell(a: int, n: int) -> tuple[int, ...]:
@@ -49,14 +74,15 @@ def spell(a: int, n: int) -> tuple[int, ...]:
 def definable_assignments(c: Circuit, budget: int = DEFAULT_BUDGET) -> list[int]:
     """All node membership masks satisfying every gate, canonically ordered.
 
-    Off-sets (complements) are exactly the rule-closed subsets, so they come
-    from a closure-system enumeration rather than a 2^nodes scan.  Its lectic
-    order ascends in the off-set read with node 0 as the high bit, so the
-    complements of the reversed list are in tuple order without a sort.
+    Off-sets (complements) are exactly the sets closed under the bundles, as
+    rules for horn_closure, so they come from a closure-system enumeration
+    rather than a 2^nodes scan.  Its lectic order ascends in the off-set
+    read with node 0 as the high bit, so the complements of the reversed
+    list are in tuple order without a sort.
     The budget bounds the off-sets as it does closed_sets.
     """
     full = (1 << c.n) - 1
-    close = horn_closure(c.n, [(i, j, 1 << k) for i, j, k in c.gates])
+    close = horn_closure(c.n, c.bundles)
     return [full ^ off for off in reversed(closed_sets(c.n, close, budget))]
 
 
@@ -89,20 +115,17 @@ def _reindex(l: FiniteLattice, triples) -> tuple[tuple[int, int, int], ...]:
 def build_full(l: FiniteLattice) -> Circuit:
     """One node per non-top element, one gate per qualifying triple.
 
-    The gates are those of ``qualifying_triples`` in the same order, made
-    directly in node positions from each element's non-top up-set.
+    One bundle per ordered pair (a, b) of nodes, the up-set of a ^ b as
+    heads, so ``gates`` lists ``qualifying_triples`` in node positions.
     """
     if l.n < 2:
         raise ValueError("trivial lattice: circuits need at least two elements")
     lm = l.nontop()
-    above = [tuple(bits(_node_mask(l, up))) for up in l.poset.up]
-    gates = tuple([
-        (i, j, k)
-        for i, a in enumerate(lm)
-        for j, b in enumerate(lm)
-        for k in above[l.meet[a][b]]
+    above = [_node_mask(l, up) for up in l.poset.up]
+    bundles = tuple([
+        (i, j, above[l.meet[a][b]]) for i, a in enumerate(lm) for j, b in enumerate(lm)
     ])
-    return Circuit(_node_labels(l), gates, ("full", l))
+    return Circuit(_node_labels(l), origin=("full", l), bundles=bundles)
 
 
 def _gap_finder(l: FiniteLattice):
@@ -463,7 +486,7 @@ def build_Y0(m: MeetSemilattice, enumeration, k: int) -> Circuit:
 
     enumeration lists element indices with the bottom first; rails cover the
     first k of them, gates cover index triples (a, b, c) below k whose
-    elements satisfy l_a ^ l_b <= l_c.
+    elements satisfy l_a ^ l_b <= l_c, one bundle per rail pair (a, b).
     """
     enumeration = tuple(enumeration)
     if sorted(enumeration) != list(range(m.n)):
@@ -473,14 +496,12 @@ def build_Y0(m: MeetSemilattice, enumeration, k: int) -> Circuit:
     if not 1 <= k <= m.n:
         raise ValueError(f"truncation level k={k} out of range")
     nodes = tuple(f"Xi({i})" for i in range(k))
-    gates = []
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                ea, eb, ec = enumeration[a], enumeration[b], enumeration[c]
-                if m.leq(m.meet[ea][eb], ec):
-                    gates.append((a, b, c))
-    return Circuit(nodes, tuple(gates), ("Y0", m, enumeration, k))
+    rails = enumeration[:k]
+    above = [sum(1 << c for c, e in enumerate(rails) if m.leq(x, e)) for x in range(m.n)]
+    bundles = tuple([
+        (a, b, above[m.meet[ea][eb]]) for a, ea in enumerate(rails) for b, eb in enumerate(rails)
+    ])
+    return Circuit(nodes, origin=("Y0", m, enumeration, k), bundles=bundles)
 
 
 def truncated_filters(

@@ -64,7 +64,7 @@ def cmd_verify_lattice(args):
     assignments = iso_res.assignments
     results = {
         "elements": len(lat.elements),
-        "gates": len(circ.gates),
+        "gates": circ.gate_count,
         "definables": len(assignments),
         "iso": "pass" if iso_res.ok else "fail",
     }
@@ -149,7 +149,7 @@ def cmd_tower(args):
     ok = len(assignments) == expected and coherent
     results = {
         "nodes": len(circ.nodes),
-        "gates": len(circ.gates),
+        "gates": circ.gate_count,
         "definables": len(assignments),
         "expected": expected,
         "restriction_coherent": coherent,
@@ -207,7 +207,7 @@ def cmd_y0(args):
     results = {
         "k": args.k,
         "rails": len(circ.nodes),
-        "gates": len(circ.gates),
+        "gates": circ.gate_count,
         "assignments": len(offs),
         "truncated_filters": len(truncated),
         "match": match,
@@ -246,7 +246,7 @@ def cmd_export_dot(args):
             lines.append(f"  gate{gi} -> {ids[k]};")
         lines.append("}")
         text = "\n".join(lines) + "\n"
-        nodes, edges = len(circ.nodes), len(circ.gates)
+        nodes, edges = len(circ.nodes), circ.gate_count
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

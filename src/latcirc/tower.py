@@ -544,16 +544,11 @@ def solder_Y_truncation(m: MeetSemilattice, enumeration, k: int) -> YTruncation:
     for r in roots:
         copy, rail = divmod(r, k)
         labels.append(f"c{copy}:Xi({rail})")
+    base_gates = base.gates
     gates = []
     for copy in range(3):
-        for i, j, g in base.gates:
-            gates.append(
-                (
-                    node_class[node(copy, i)],
-                    node_class[node(copy, j)],
-                    node_class[node(copy, g)],
-                )
-            )
+        row = node_class[copy * k:(copy + 1) * k]
+        gates.extend((row[i], row[j], row[g]) for i, j, g in base_gates)
     gates = tuple(dict.fromkeys(gates))
     return YTruncation(
         Circuit(tuple(labels), gates, ("Y", m, tuple(enumeration), k)),

@@ -1,6 +1,11 @@
+import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,8 @@ from latcirc import finspace as fs
 from latcirc import gate
 from latcirc import order_core as oc
 from references import closure_system_lattice, m3, partner_horn_closure, template_table
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def brute_assignments(c):
@@ -67,6 +74,24 @@ class TestCircuit:
         assert c.gates == () and c.n == 2
         assert cc.Circuit((), ()).n == 0
 
+    @pytest.mark.parametrize(
+        "bundle", [(0, 2, 1), (-1, 0, 1), (0, 0, 0), (0, 0, -1), (0, 1, 0b100)],
+        ids=["premise-at-n", "premise-below-zero", "no-heads", "negative-heads", "head-at-n"],
+    )
+    def test_bad_bundle_refused(self, bundle):
+        with pytest.raises(ValueError) as exc:
+            cc.Circuit(("a", "b"), bundles=((0, 0, 1), bundle))
+        assert str(exc.value) == f"bundle {bundle} references an unknown node or has no heads"
+
+    def test_triples_are_never_read_as_bundles(self):
+        # (0, 1, 3) is a gate to a third node, or a bundle heading both nodes
+        with pytest.raises(ValueError, match="gate"):
+            cc.Circuit(("a", "b"), ((0, 1, 3),))
+        c = cc.Circuit(("a", "b"), bundles=((1, 1, 1), (0, 1, 3)))
+        assert c.gates == ((1, 1, 0), (0, 1, 0), (0, 1, 1)) and c.gate_count == 3
+        with pytest.raises(ValueError, match="not both"):
+            cc.Circuit(("a", "b"), ((1, 1, 0),), bundles=((0, 1, 3),))
+
 
 class TestBuildFull:
     def test_two_element(self):
@@ -90,16 +115,22 @@ class TestBuildFull:
         with pytest.raises(ValueError):
             cc.build_full(oc.chain(1))
 
+    @staticmethod
+    def check_expansion(lat):
+        # one bundle per ordered pair of nodes, expanding to the gates in order
+        c = cc.build_full(lat)
+        want = cc._reindex(lat, cc.qualifying_triples(lat))
+        assert [b[:2] for b in c.bundles] == list(product(range(c.n), repeat=2))
+        assert c.gates == want and c.gate_count == len(want)
+
     @pytest.mark.parametrize("k", range(2, 8))
     def test_gates_are_the_reindexed_qualifying_triples(self, k):
         for lat in oc.all_lattices_up_to_iso(k):
-            want = cc._reindex(lat, cc.qualifying_triples(lat))
-            assert cc.build_full(lat).gates == want
+            self.check_expansion(lat)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seeded_16_element_gates(self, seed):
-        lat = closure_system_lattice(seed, 6, 16)
-        assert cc.build_full(lat).gates == cc._reindex(lat, cc.qualifying_triples(lat))
+        self.check_expansion(closure_system_lattice(seed, 6, 16))
 
     @pytest.mark.slow
     def test_40_element_closure_system_verifies(self):
@@ -111,6 +142,30 @@ class TestBuildFull:
         rules = [(i, j, 1 << k) for i, j, k in c.gates]
         want = oc.closed_sets(c.n, partner_horn_closure(c.n, rules))
         assert oc.closed_sets(c.n, oc.horn_closure(c.n, rules)) == want
+
+    @pytest.mark.slow
+    def test_150_element_closure_system_fits_in_memory(self):
+        # n^3/2 gate tuples took over 300 MB here; the bundles are n^2.  Read
+        # as a fresh interpreter's peak RSS, VmHWM in kB (ru_maxrss would
+        # count the forking test process): tracemalloc would make this call
+        # 17 times slower.
+        code = (
+            "import re\n"
+            "from references import closure_system_lattice\n"
+            "from latcirc import circuit as cc\n"
+            "lat = closure_system_lattice(0, 12, 150)\n"
+            "res = cc.verify_iso(lat, cc.build_full(lat))\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(res.ok, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
+        )
+        path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        ok, peak_kb = run.stdout.split()
+        assert ok == "True"
+        assert int(peak_kb) < 50 << 10, f"peak RSS {int(peak_kb) / 1024:.1f} MB"
 
 
 class TestIsAdequate:
@@ -240,6 +295,21 @@ class TestDefinableAssignments:
             for a in cc.definable_assignments(c)
         }
         assert off_sets == set(oc.filters(m))
+
+    def test_off_sets_are_filter_traces_on_every_lattice_to_8(self):
+        # the referee enumerates filters under _filter_closure's rules, not
+        # under the presentation's bundles
+        for k in range(2, 9):
+            for lat in oc.all_lattices_up_to_iso(k):
+                c = cc.build_full(lat)
+                lm = lat.nontop()
+                off_sets = [
+                    frozenset(lm[i] for i in range(c.n) if not a >> i & 1)
+                    for a in cc.definable_assignments(c)
+                ]
+                traces = {f - {lat.top} for f in oc.filters(lat, include_empty=True)}
+                assert len(off_sets) == len(traces) == lat.n
+                assert set(off_sets) == traces
 
     def test_adequacy_invariance(self):
         lat = oc.n5()
@@ -588,6 +658,21 @@ class TestBuildY0:
         assert cc.y0_assignment_offsets(c) == cc.truncated_filters(m, (0, 1, 2), 3)
         assert len(cc.definable_assignments(c)) == 4
 
+    @pytest.mark.parametrize("size", range(2, 7))
+    def test_gates_are_the_qualifying_rail_triples_in_order(self, size):
+        rng = random.Random(size)
+        for m in oc.all_lattices_up_to_iso(size):
+            rest = [e for e in range(m.n) if e != m.bottom]
+            rng.shuffle(rest)
+            enumeration = (m.bottom, *rest)
+            for k in range(1, m.n + 1):
+                want = tuple(
+                    (a, b, c) for a, b, c in product(range(k), repeat=3)
+                    if m.leq(m.meet[enumeration[a]][enumeration[b]], enumeration[c])
+                )
+                c = cc.build_Y0(m, enumeration, k)
+                assert c.gates == want and c.gate_count == len(want)
+
     def test_enumeration_must_start_at_bottom(self):
         m = oc.v_semilattice()
         with pytest.raises(ValueError, match="bottom"):
@@ -636,6 +721,17 @@ def random_circuits(draw):
 @given(random_circuits())
 def test_closure_enumeration_matches_brute_force(c):
     assert spelled(c) == brute_assignments(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_circuits())
+def test_bundled_gates_give_the_same_assignments(c):
+    heads = {}
+    for i, j, k in c.gates:
+        heads[i, j] = heads.get((i, j), 0) | 1 << k
+    bundled = cc.Circuit(c.nodes, bundles=tuple((i, j, h) for (i, j), h in heads.items()))
+    assert bundled.gate_count == len(set(c.gates))
+    assert cc.definable_assignments(bundled) == cc.definable_assignments(c)
 
 
 @settings(max_examples=80, deadline=None)
