@@ -180,7 +180,7 @@ class _View:
 
     __slots__ = (
         "offsets", "pairs", "values", "_adj", "_near", "_floors", "_floor",
-        "_entry",
+        "_entry", "_radius", "_last",
     )
 
     def __init__(self, s: DiscreteSpace, rows: dict):
@@ -205,6 +205,7 @@ class _View:
         self._near: dict = {}  # count of distance values below r -> near pairs
         self._floors: dict = {}  # count of values <= r_min -> kernel entry
         self._floor = self._entry = None  # the last floor asked for, and its entry
+        self._radius = self._last = None  # the last radius asked for, and its pairs
 
     def neighbours(self, s: DiscreteSpace) -> tuple:
         """Per cell, its (other cell, distance) pairs in the order of s.dist."""
@@ -217,8 +218,10 @@ class _View:
         return self._adj
 
     def near(self, s: DiscreteSpace, r: Fraction) -> tuple:
-        """The cells strictly within r of each other, as offset pairs (see
-        _pairs): M_k holds the cells a with a + k within r of a."""
+        """The cells strictly within r of each other as offset pairs (see
+        _pairs: M_k holds a when a + k is within r), the last r by identity."""
+        if r is self._radius:
+            return self._last
         key = bisect_left(self.values, r)
         pairs = self._near.get(key)
         if pairs is None:
@@ -228,6 +231,7 @@ class _View:
             for k, m in _rows((p for p, d in s.dist.items() if id(d) in below), s.n).items():
                 _add_both_ways(table, k, m, 0, 0)
             pairs = self._near[key] = _pairs(table)
+        self._radius, self._last = r, pairs
         return pairs
 
     def kernel(self, s: DiscreteSpace, r_min) -> tuple:
@@ -437,7 +441,7 @@ def thresholds(s: DiscreteSpace, r_min: Fraction) -> list[Fraction]:
     if r_min < 0:
         raise ValueError("r_min must be nonnegative")
     vals = _view(s).values
-    return [v for v in vals[bisect_right(vals, r_min):] if v <= 1]
+    return list(vals[bisect_right(vals, r_min):bisect_right(vals, 1)])
 
 
 def _failure(s: DiscreteSpace, d: int, r_min: Fraction):

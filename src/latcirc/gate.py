@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
+from operator import or_
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import finspace
-# bits is no longer called here, but perfbench's tracer test reads gate.bits
-from .finspace import DEFAULT_BUDGET, BudgetExceeded, Cell, DiscreteSpace, bits  # noqa: F401
+from .finspace import DEFAULT_BUDGET, BudgetExceeded, Cell, DiscreteSpace, bits
 
 
 class GateState(NamedTuple):
@@ -327,33 +327,29 @@ def _doubled(seed: int, parts) -> list[int]:
     return acc
 
 
-def _edge_table(dc: DiscretizedComplex, cap: int | None, *columns):
-    """The saturated family edge subset by edge subset.
-
-    Returns (size, pinned, *unions): the family's size, and lists indexed by
-    choice bitmask over dc.edges.  pinned[i] holds the endpoints of subset i
-    as a bitmask over vertex-list positions, and each union list holds, per
-    subset, the OR of one column of per-edge masks.  The subset contributes
-    2^(free vertices) candidates.  Raises BudgetExceeded, before any column
-    is combined, when the family exceeds cap.
-    """
-    pos = {v: i for i, v in enumerate(dc.vertices)}
-    pinned = [0]
-    for e in dc.edges:
-        ends = 1 << pos[e.endpoints[0]] | 1 << pos[e.endpoints[1]]
-        pinned += [a | ends for a in pinned]
-        if cap is not None and len(pinned) > cap:
-            break  # each subset contributes at least one candidate
-    # each subset contributes 2^(nv - its pinned count), summed at C speed
-    size = sum(map((1 << len(dc.vertices)).__rshift__, map(int.bit_count, pinned)))
+def _family_size(dc: DiscretizedComplex, cap: int | None) -> int:
+    """The saturated family's size.  An edge subset brings one candidate per
+    set T of vertices that none of its edges touches, so the size is the
+    sum over vertex sets T of 2^(edges touching no vertex of T).  Raises
+    BudgetExceeded when the family exceeds cap."""
+    touch = dict.fromkeys(dc.vertices, 0)  # vertex -> the edges at it
+    for i, e in enumerate(dc.edges):
+        for v in e.endpoints:
+            touch[v] |= 1 << i
+    avoid = [(1 << len(dc.edges)) - 1]  # per vertex set T: the edges touching none of T
+    for t in touch.values():
+        avoid += [a & ~t for a in avoid]
+        if cap is not None and len(avoid) > cap:
+            break  # each vertex set counts at least once
+    size = sum(map((1).__lshift__, map(int.bit_count, avoid)))
     if cap is not None and size > cap:
         raise BudgetExceeded(f"saturated family exceeds the budget of {cap}")
-    return size, pinned, *(_doubled(0, col) for col in columns)
+    return size
 
 
 def saturated_count(dc: DiscretizedComplex) -> int:
     """Size of the saturated candidate family."""
-    return _edge_table(dc, None)[0]
+    return _family_size(dc, None)
 
 
 def saturated_candidates(dc: DiscretizedComplex, budget: int = DEFAULT_BUDGET):
@@ -367,11 +363,11 @@ def saturated_candidates(dc: DiscretizedComplex, budget: int = DEFAULT_BUDGET):
     BudgetExceeded, before any mask is made, if the family is larger than
     the budget.
     """
-    _, pinneds, bases = _edge_table(dc, budget, [e.closure_mask for e in dc.edges])
-    verts = [1 << v for v in dc.vertices]
+    _family_size(dc, budget)
+    verts = [1 << v for v in dc.vertices]  # the vertices in a base are its edges' endpoints
     return chain.from_iterable(
-        _doubled(base, [m for i, m in enumerate(verts) if not pinned >> i & 1])
-        for base, pinned in zip(bases, pinneds)
+        _doubled(base, [m for m in verts if not base & m])
+        for base in _doubled(0, [e.closure_mask for e in dc.edges])
     )
 
 
@@ -399,21 +395,24 @@ def oracle(
     r_min: Fraction | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> OracleResult:
-    """Saturated-family search for definable sets, pruned edge subset by
-    edge subset.
+    """Saturated-family search for definable sets, with every edge subset
+    refuted or kept at once by clauses.
 
     Refuses the floor before the budget is charged: ValueError when it is
     negative, NoThreshold when it leaves no threshold (every closed set passes).
 
     finspace's test U(d) & ~(d | N(d)) == 0 at the binding threshold r0 is
-    necessary, and U (the union of minimal opens, open_hull) and d | N (the
-    cells within r0 of d, expand) of a union are the unions of its parts'.
-    So each edge's U and expansion are combined next to the closures, an
-    edge subset with union base survives when U & ~(base | N) == 0, and a
-    free vertex v is addable to it when open_hull({v}) & ~(base | N | 1 << v)
-    == 0: extra vertices are 0-cells, whose witness distances live on same-x
-    1-cell pairs fixed by the edge choice.  Every union of a survivor with
-    addable vertices is confirmed with is_definable.
+    necessary, and U (the union of minimal opens) and d | N (expand) of a
+    union are the unions of its parts'.  So an edge subset S passes exactly
+    when each cell x of U(e) & ~(e | N(e)) for an edge e in S lies in the
+    expansion of an edge in S: a clause per cell x, tested on all 2^m
+    subsets at once with holds[e], whose bit S is set when S holds e.  An
+    edge's U is its closure and its endpoints' minimal opens: an interior
+    cell opens only into its own edge.  A free vertex v is addable to a
+    survivor when open_hull({v}) & ~(base | N | 1 << v) == 0: extra vertices
+    are 0-cells, whose witness distances live on same-x 1-cell pairs fixed
+    by the edge choice.  is_definable confirms each union of a survivor
+    with addable vertices.
     """
     if r_min is None:
         r_min = dc.r_min
@@ -421,19 +420,29 @@ def oracle(
     binding = finspace.thresholds(s, r_min)
     if not binding:
         raise NoThreshold(r_min)
+    size = _family_size(dc, budget)
+    opens = {v: finspace.open_hull(s, 1 << v) for v in dc.vertices}
     closures = [e.closure_mask for e in dc.edges]
-    ups = [finspace.open_hull(s, c) for c in closures]
     grown = [finspace.expand(s, c, binding[0]) for c in closures]
-    size, pinneds, bases, us, covers = _edge_table(dc, budget, closures, ups, grown)
-    opens = [finspace.open_hull(s, 1 << v) for v in dc.vertices]
+    holds, width = [], 1  # width: the edge subsets counted so far
+    for _ in closures:
+        holds, width = [h | h << width for h in holds] + [(1 << width) - 1 << width], 2 * width
+    struck: dict = {}  # cell x -> subsets holding an edge that needs x, none covering x
+    for e, c, g, h in zip(dc.edges, closures, grown, holds):
+        for x in bits((c | opens[e.endpoints[0]] | opens[e.endpoints[1]]) & ~g):
+            struck[x] = struck.get(x, 0) | h
+    wanted = sum(1 << x for x in struck)
+    for g, h in zip(grown, holds):
+        for x in bits(g & wanted):
+            struck[x] &= ~h
     definable = []
-    for pinned, base, u, covered in zip(pinneds, bases, us, covers):
-        if u & ~covered:
-            continue
+    for i in bits((1 << width) - 1 & ~reduce(or_, struck.values(), 0)):  # the survivors
+        base = covered = 0
+        for e in bits(i):
+            base |= closures[e]
+            covered |= grown[e]
         addable = [
-            1 << v
-            for i, v in enumerate(dc.vertices)
-            if not pinned >> i & 1 and not opens[i] & ~(covered | 1 << v)
+            1 << v for v, o in opens.items() if not base >> v & 1 and not o & ~(covered | 1 << v)
         ]
         for d in _doubled(base, addable):
             if finspace.is_definable(s, d, r_min):

@@ -144,6 +144,22 @@ class TestExpand:
         with pytest.raises(ValueError):
             fs.expand(crisp_points(2), 1, F(0))
 
+    @pytest.mark.parametrize("build", [gate.discretize, gate.discretize_dagger])
+    def test_alternating_radii(self, build):
+        # the view keeps the last radius's pairs: a switch back and forth, and
+        # an equal radius that is another object, must each read their own
+        s = build(4).space
+        masks = fs.random_closed_sets(s, 12, seed=3)
+        radii = (F(1, 4), F(3, 4), F(1, 4), F(2, 8), F(3, 4), F(3, 4), F(1, 8))
+        want = {}
+        for r in set(radii):
+            near = literal_near(s, r)
+            want[r] = [fs.cellset(y for x in fs.bits(d) for y in fs.bits(near[x])) for d in masks]
+        for r in radii:
+            assert [fs.expand(s, d, r) for d in masks] == want[r], r
+        grown = [fs.expand(s, d, F(1, 4)) for d in masks]
+        assert grown != [fs.expand(s, d, F(3, 4)) for d in masks]
+
 
 class TestDistanceValues:
     def test_crisp_space(self):
@@ -155,6 +171,43 @@ class TestDistanceValues:
 
     def test_point(self):
         assert fs.thresholds(fs.point_space(), F(0)) == []
+
+    @staticmethod
+    def filtered(s, r_min):
+        """The values in (r_min, 1] by a filter over every value above the
+        floor, as thresholds read before its two bisects."""
+        vals = fs._view(s).values
+        return [v for v in vals[bisect_right(vals, r_min):] if v <= 1]
+
+    @staticmethod
+    def floors(s):
+        """0, each value, a floor between each two and past the last, and 1."""
+        vals = fs._view(s).values
+        between = [(p + q) / 2 for p, q in zip(vals, vals[1:])]
+        return [F(0), F(1), *vals, *between, vals[-1] + 1] if vals else [F(0), F(1)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_bisects_match_the_filter_on_gates(self, n):
+        for dc in (gate.discretize(n), gate.discretize_dagger(n),
+                   gate.build_complex([("a", "b", "c"), ("c", "c", "d")], n)):
+            for r_min in self.floors(dc.space):
+                got = fs.thresholds(dc.space, r_min)
+                assert type(got) is list
+                assert got == self.filtered(dc.space, r_min), (n, r_min)
+
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_bisects_match_the_filter_past_one(self, complete):
+        # stored distances of 1 and more, which validate rejects: the bisect
+        # at 1 must stop where the filter does
+        dist = {(0, 1): F(1, 2), (0, 2): F(3, 2), (1, 3): F(1), (2, 3): F(5, 4)}
+        if complete:
+            dist.update({(0, 3): F(1, 3), (1, 2): F(2)})
+        s = DiscreteSpace(tuple(Cell(i, 0) for i in range(4)), (1, 2, 4, 8), dist)
+        assert any("outside (0,1)" in d for d in fs.validate(s))
+        assert (F(1) in fs._view(s).values) and fs._view(s).values[-1] > 1
+        for r_min in self.floors(s):
+            assert fs.thresholds(s, r_min) == self.filtered(s, r_min), r_min
+        assert fs.thresholds(s, F(0)) == ([F(1, 3)] if complete else []) + [F(1, 2), F(1)]
 
 
 class TestIsDefinable:

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction as F
-from itertools import chain, product
+from itertools import chain, islice, product
 
 import pytest
 
@@ -286,6 +286,85 @@ class TestOracle:
         dg = gate.discretize(4)
         with pytest.raises(fs.BudgetExceeded):
             gate.oracle(dg, budget=100)
+
+
+def brute_force(dc, r_min, budget):
+    """The saturated family scanned whole by enumerate_definable, in packs of
+    2^16 candidates so the two-gate family is never held at once, and how
+    many candidates it drew."""
+    pool = gate.saturated_candidates(dc, budget)
+    found, drawn = [], 0
+    while chunk := list(islice(pool, 1 << 16)):
+        found += fs.enumerate_definable(dc.space, r_min, chunk)
+        drawn += len(chunk)
+    return sorted(found), drawn
+
+
+def passed_by_subset(dc, r_min):
+    """The candidates that the pruning test passes, edge subset by edge
+    subset: a subset passes when U & ~(base | N) == 0 for its union's
+    open_hull U and expansion base | N at the binding threshold, and brings
+    every union of its base with addable free vertices."""
+    s = dc.space
+    r0 = fs.thresholds(s, r_min)[0]
+    hulls = [fs.open_hull(s, e.closure_mask) for e in dc.edges]
+    grown = [fs.expand(s, e.closure_mask, r0) for e in dc.edges]
+    out = []
+    for subset in range(1 << len(dc.edges)):
+        chosen = [i for i in range(len(dc.edges)) if subset >> i & 1]
+        base = hull = cover = 0
+        for i in chosen:
+            base |= dc.edges[i].closure_mask
+            hull |= hulls[i]
+            cover |= grown[i]
+        if hull & ~cover:
+            continue
+        pinned = {v for i in chosen for v in dc.edges[i].endpoints}
+        free = [v for v in dc.vertices
+                if v not in pinned and not fs.open_hull(s, 1 << v) & ~(cover | 1 << v)]
+        for k in range(1 << len(free)):
+            out.append(base | sum(1 << v for j, v in enumerate(free) if k >> j & 1))
+    return sorted(out)
+
+
+class TestOracleMatchesBruteForce:
+    """gate.oracle refutes edge subsets by clauses before is_definable sees
+    them: it must find what the scan of the whole saturated family finds,
+    and on one gate judge exactly the candidates that the pruning test
+    passes subset by subset."""
+
+    def check(self, monkeypatch, dc, r_min, budget=fs.DEFAULT_BUDGET):
+        judged = []
+        definable = fs.is_definable
+
+        def judge(s, d, r):
+            judged.append(d)
+            return definable(s, d, r)
+
+        with monkeypatch.context() as m:
+            m.setattr(fs, "is_definable", judge)
+            res = gate.oracle(dc, r_min, budget)
+        floor = dc.r_min if r_min is None else r_min
+        found, drawn = brute_force(dc, floor, budget)
+        assert list(res.definable) == found
+        assert res.patterns == tuple(dc.pattern(d) for d in found)
+        assert res.candidates == drawn == gate.saturated_count(dc)
+        if len(dc.copies) == 1:
+            assert sorted(judged) == passed_by_subset(dc, floor)
+        return res
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12, 16])
+    @pytest.mark.parametrize("build", [gate.discretize, gate.discretize_dagger])
+    def test_one_gate(self, monkeypatch, build, n):
+        for r_min in (None, F(0), F(1, 3 * n), F(1, 4)):
+            res = self.check(monkeypatch, build(n), r_min)
+            assert res.definable, r_min
+
+    @pytest.mark.slow
+    def test_two_gate_chain(self, monkeypatch):
+        dc = gate.build_complex([("a", "b", "c"), ("c", "c", "d")], 3)
+        res = self.check(monkeypatch, dc, None, 6 * 10**6)
+        assert len(res.definable) == 10
 
 
 class TestNegativeControls:
