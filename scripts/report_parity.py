@@ -69,8 +69,8 @@ must be equal field by field:
   16 and 32, and `circuit.discretize(circuit.build_full(l), 4)` for every
   lattice of 2 to 6 elements: cells, the minimal-open table, `dist` with
   its insertion order, slices, resolution, edges, vertices, terminals,
-  terminal order, reps, copies and n.  The table is `s.open_masks()` in a
-  tree that has it (an assembled space there keeps no `min_open`, and
+  terminal order, copies and n.  The table is `s.open_masks()` in a tree
+  that has it (an assembled space there keeps no `min_open`, and
   `open_masks()` reads it off the view) and `s.min_open` otherwise, so
   both trees digest the same table;
 - `tower.build_W` on two sliced bases drawn as the `truncation` workload
@@ -184,7 +184,7 @@ def complex_fields(dc):
     out = space_fields(dc.space)
     out.update({"edges": digest(dc.edges), "vertices": digest(dc.vertices),
                 "terminals": digest(list(dc.terminals.items())),
-                "terminal_order": digest(dc.terminal_order), "reps": digest(dc.reps),
+                "terminal_order": digest(dc.terminal_order),
                 "copies": digest(dc.copies), "n": digest(dc.n)})
     return out
 

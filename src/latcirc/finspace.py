@@ -20,22 +20,22 @@ cover-radius checks in tower) walk only the stored distances, validate and
 the cover radius through the neighbour lists, so they cost O(stored pairs)
 rather than O(cells²).
 
-A view is made in one of three ways.  A space built directly from min_open
-(tests, build_W) is walked cell by cell.  The one-gate template,
-gate.discretize(n), hands compiled() the offset rows it read off its own
-incidences; gate keeps the template and its dagger variant per pitch, so
-each is compiled once per process and every later check at that pitch reads
-the tables its view has already built.  And solder (with coproduct, its
-group-free case) leaves its parts behind, and the view is placed from theirs
-on first use: a run of cells that the soldering map moves by one shift keeps
-its rows, which land at every copy's shift at once as the product with a
-mask holding one bit per copy; only the rows that cross runs, at the
-soldered terminals, are mapped one by one.  Such an assembled space has
-min_open None, so no full-width mask is made: the view is the only store of
-its topology, and open_masks() reads the minimal opens off it.  Only a
-solder of one part with no groups shares a view, its part's;
-dataclasses.replace drops the view, as it must when min_open or dist
-change.  A solder's distances are a read-only mapping, like the template's.
+A view is made in one of two ways.  A space built directly from min_open
+(the one-gate template gate.discretize(n), build_W, tests) is walked cell by
+cell; gate keeps the template and its dagger variant per pitch, so each view
+is made once per process and every later check at that pitch reads the
+tables it has already built.  And solder (with coproduct, its group-free
+case) leaves its parts behind, and the view is placed from theirs on first
+use: a run of cells that the soldering map moves by one shift keeps its
+rows, which land at every copy's shift at once as the product with a mask
+holding one bit per copy; only the rows that cross runs, at the soldered
+terminals, are mapped one by one.  Such an assembled space has min_open
+None, so no full-width mask is made: the view is the only store of its
+topology, and open_masks() reads the minimal opens off it.  Only a solder
+of one part with no groups shares a view, its part's if the part has made
+one by then; dataclasses.replace drops the view, as it must when min_open
+or dist change.  A solder's distances are a read-only mapping, like the
+template's.
 
 Definability needs only the smallest threshold r0 above the floor.  The
 expansion of d grows with r and interior is monotone, so d inside
@@ -317,14 +317,6 @@ def _rows(pairs, n: int) -> dict:
 def _walked_rows(s: DiscreteSpace) -> dict:
     """The minimal-open relation by offset (see _View), cell by cell."""
     return _rows(((y, x) for y in range(s.n) for x in bits(s.min_open[y])), s.n)
-
-
-def compiled(s: DiscreteSpace, rows: dict) -> DiscreteSpace:
-    """s with its view built from rows, offset k -> the cells y with y + k in
-    min_open(y) (k != 0), as the caller that built min_open already knows
-    them; s must not have been compiled yet."""
-    object.__setattr__(s, "_compiled", _View(s, {k: _mask(ys, s.n) for k, ys in rows.items()}))
-    return s
 
 
 def validate(s: DiscreteSpace) -> list[str]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from operator import or_
 from types import MappingProxyType
@@ -72,8 +72,8 @@ EDGES = {
     "OS": ("O", "OUT"),
 }
 
-EDGE_ORDER = ("TL", "TR", "BL", "BR", "UL", "LL", "UR", "LR", "OS")
-VERTEX_ORDER = ("I1", "I2", "A", "B", "C", "D", "O", "OUT")
+EDGE_ORDER = tuple(EDGES)
+VERTEX_ORDER = tuple(VERTICES)
 
 TOP_LOBE_EDGES = ("TL", "TR", "UL", "UR")
 BOTTOM_LOBE_EDGES = ("BL", "BR", "LL", "LR")
@@ -96,7 +96,7 @@ class DiscretizedComplex:
     copies[g][i] is the cell that cell i of the one-gate template became in
     gate copy g: the copy's block of the soldering map, so the local
     numbering is the same for every copy and for a one-gate complex.
-    A node that no gate names is an isolated crisp 0-cell with no rep.
+    A node that no gate names is an isolated crisp 0-cell, tagged "pt".
     """
 
     space: DiscreteSpace
@@ -104,11 +104,10 @@ class DiscretizedComplex:
     vertices: tuple[int, ...]
     terminals: Mapping[str, int]
     terminal_order: tuple[str, ...]
-    reps: tuple[tuple[Fraction, Fraction] | None, ...]
     n: int
     copies: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def r_min(self) -> Fraction:
         """Default definability floor: twice the grid pitch."""
         return Fraction(2, self.n)
@@ -123,13 +122,14 @@ _TERMINAL_VERTICES = tuple(VERTEX_ORDER.index(v) for v in ("I1", "I2", "OUT"))
 
 
 # Every complex below is built from the plain gate at its pitch, so each
-# pitch's gate is built and compiled once per process and then kept, along
-# with its dagger variant: their views (thresholds, near tables, kernel
-# entries) grow only by caching.  Sixteen pitches each; a kept complex holds
-# tuples and read-only mappings, and nothing mutates it.  Keeping pays only
-# where one process meets a pitch again: circuit.oracle builds the template
-# once instead of twice, and a process that runs many checks (the benchmark,
-# the tests) builds each pitch once; a single gate-oracle run gains nothing.
+# pitch's gate is built once per process and then kept, along with its
+# dagger variant: their views, each made on first use (thresholds, near
+# tables, kernel entries), grow only by caching.  Sixteen pitches each; a
+# kept complex holds tuples and read-only mappings, and nothing mutates it.
+# Keeping pays only where one process meets a pitch again: circuit.oracle
+# builds the template once instead of twice, and a process that runs many
+# checks (the benchmark, the tests) builds each pitch once; a single
+# gate-oracle run gains nothing.
 @lru_cache(maxsize=16)
 def discretize(n: int) -> DiscretizedComplex:
     """The plain gate, with terminals in1, in2 and out: the one-gate
@@ -140,11 +140,10 @@ def discretize(n: int) -> DiscretizedComplex:
     between its endpoint vertices.  The vertices come first, in
     VERTEX_ORDER, then each edge's interior in EDGE_ORDER, alternating
     1-cells e0, e1, ... with 0-cells v0, v1, ..., names that every copy in
-    a complex keeps.  Only the distances and the reps are Fractions, one per
-    distinct value.  The space comes compiled: its offset rows are read off
-    the incidences as they are made (a 0-cell opens into its flanks, a
-    vertex into the end cell of each of its edges).  Raises ValueError for
-    n < 2.
+    a complex keeps.  Only the distances are Fractions, one per distinct
+    value.  A 0-cell opens into its flanks, a vertex into the end cell of
+    each of its edges; the space's view is walked off that min_open on
+    first use, as any space's is.  Raises ValueError for n < 2.
     """
     if n < 2:
         raise ValueError(f"subdivision n must be >= 2, got {n}")
@@ -152,7 +151,6 @@ def discretize(n: int) -> DiscretizedComplex:
     grid = [(int(x) * unit, int(y) * unit) for x, y in map(VERTICES.get, VERTEX_ORDER)]
     cells = [Cell(i, 0, v) for i, v in enumerate(VERTEX_ORDER)]
     min_open = [1 << i for i in range(len(cells))]
-    rows: dict = {1: [], -1: []}  # offset k -> cells y with y + k in min_open(y)
     edges = []
     for ename in EDGE_ORDER:
         ends = tuple(VERTEX_ORDER.index(v) for v in EDGES[ename])
@@ -167,14 +165,10 @@ def discretize(n: int) -> DiscretizedComplex:
         # a 0-cell opens into its flanking 1-cells
         min_open += [1 << c if (c - first) % 2 == 0 else 0b111 << c - 1
                      for c in range(first, len(cells))]
-        rows[-1] += range(first + 1, len(cells), 2)
-        rows[1] += range(first + 1, len(cells), 2)
         grid += [(xa + j, ya + slope * j) for j in steps]
         last = len(cells) - 1
         min_open[ends[0]] |= 1 << first
         min_open[ends[1]] |= 1 << last
-        rows.setdefault(first - ends[0], []).append(ends[0])
-        rows.setdefault(last - ends[1], []).append(ends[1])
         mask = (1 << last + 1) - (1 << first) | 1 << ends[0] | 1 << ends[1]
         edges.append(ComplexEdge(ename, mask, ends))
 
@@ -193,20 +187,18 @@ def discretize(n: int) -> DiscretizedComplex:
                 d = ya if ya > yb else yb
                 if d < unit:
                     near[(a, b)] = d
-    # every coordinate, and so every distance, is an integer in [-2 unit, 2 unit]
-    frac = {v: Fraction(v, unit) for v in range(-2 * unit, 2 * unit + 1)}
+    frac = {d: Fraction(d, unit) for d in set(near.values())}  # one per distinct value
     space = DiscreteSpace(
         tuple(cells), tuple(min_open),
         MappingProxyType({key: frac[d] for key, d in near.items()}), None, Fraction(1, n),
     )
     labels = ("in1", "in2", "out")
     return DiscretizedComplex(
-        finspace.compiled(space, rows),
+        space,
         tuple(edges),
         tuple(range(len(VERTEX_ORDER))),
         MappingProxyType(dict(zip(labels, _TERMINAL_VERTICES))),
         labels,
-        tuple([(frac[x], frac[y]) for x, y in grid]),
         n,
         (tuple(c.id for c in cells),),  # the cells' own ints, not a second set
     )
@@ -223,9 +215,9 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
 
     The copies are of discretize(n), the template kept for the pitch:
     finspace.solder lays them side by side, each as one block, followed by
-    the free points, and identifies the terminals; the template's compiled
-    view is placed into the complex's on first use, so no full-width mask
-    is walked.  Cells and edges keep the template's names (a soldered
+    the free points, and identifies the terminals; the template's view is
+    placed into the complex's on first use, so no full-width mask is
+    walked.  Cells and edges keep the template's names (a soldered
     terminal its least member's, a free point point_space's): terminals and
     copies say which label and which copy a cell belongs to.
     """
@@ -250,10 +242,6 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
         [tmpl.space] * k + [finspace.point_space() for _ in free], groups
     )
 
-    old_reps = tmpl.reps * k + (None,) * len(free)
-    new_reps: list = [None] * space.n
-    for old, new in enumerate(old_to_new):
-        new_reps[new] = old_reps[old]
     copies = tuple(old_to_new[g * size:(g + 1) * size] for g in range(k))
     # each template edge's interior: its first cell and its mask shifted to bit 0
     spans = []
@@ -281,7 +269,6 @@ def build_complex(gate_labels, n: int, terminal_order=None) -> DiscretizedComple
         tuple(sorted(vertex_ids)),
         MappingProxyType(terminals),
         tuple(terminal_order),
-        tuple(new_reps),
         n,
         copies,
     )

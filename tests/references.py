@@ -39,6 +39,27 @@ def in_crisp_region(x, y):
     return -2 <= x <= 1 and y in (1, -1) or 1 <= x <= 2 and y == 0
 
 
+def positions(dc):
+    """Each cell's point in the plane, recomputed from its tag and
+    gate.VERTICES rather than read off the complex: a vertex's tag names it,
+    and "E.ek" ("E.vk") is the 1-cell (0-cell) 2k + 1 (2k + 2) half-pitch
+    steps along edge E from its first vertex.  A soldered terminal has the
+    point of the member whose tag it keeps, a free point ("pt") None."""
+    half = F(1, 2 * dc.n)
+    out = []
+    for tag in (c.tag for c in dc.space.cells):
+        if tag == "pt":
+            out.append(None)
+        elif tag in gate.VERTICES:
+            out.append(gate.VERTICES[tag])
+        else:
+            name, step = tag.split(".")
+            (xa, ya), (xb, yb) = map(gate.VERTICES.get, gate.EDGES[name])
+            dx = (2 * int(step[1:]) + (1 if step[0] == "e" else 2)) * half
+            out.append((xa + dx, ya + (yb - ya) / (xb - xa) * dx))
+    return tuple(out)
+
+
 def limit_state(d, i):
     """The gate state of a tower LimitSet at gate i: its tail after the
     breakpoint, 'E' at it, and the other constant state before it."""

@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
-from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
@@ -600,6 +599,12 @@ class TestFactorizationPreconditions:
         # replace drops the view, the complex's only topology: give it a table
         return replace(dc, space=replace(dc.space, min_open=template_table(dc), dist=dist))
 
+    @staticmethod
+    def _inner(dc, one, g):
+        """Gate copy g's UL.e1, the 1-cell at (-1/2, 1/2): looked up in the
+        template by tag, then mapped through the copy."""
+        return dc.copies[g][next(i for i, c in enumerate(one.space.cells) if c.tag == "UL.e1")]
+
     def test_intact_complex_passes(self, parts):
         dc, one = parts
         cc.check_factorization(dc, one, dc.r_min)
@@ -607,8 +612,7 @@ class TestFactorizationPreconditions:
     def test_distance_across_copies(self, parts):
         dc, one = parts
         d = next(iter(dc.space.dist.values()))
-        a = dc.copies[0][dc.reps.index((F(-1, 2), F(1, 2)))]
-        b = dc.copies[1][dc.reps.index((F(-1, 2), F(1, 2)))]
+        a, b = self._inner(dc, one, 0), self._inner(dc, one, 1)
         with pytest.raises(AssertionError, match="crosses gate copies"):
             cc.check_factorization(self._with_dist(dc, a, b, d), one, dc.r_min)
 
@@ -616,7 +620,7 @@ class TestFactorizationPreconditions:
         dc, one = parts
         d = next(iter(dc.space.dist.values()))
         t = dc.terminals["r"]
-        inner = dc.copies[0][dc.reps.index((F(-1, 2), F(1, 2)))]
+        inner = self._inner(dc, one, 0)
         with pytest.raises(AssertionError, match="terminal not crisp"):
             cc.check_factorization(self._with_dist(dc, t, inner, d), one, dc.r_min)
 

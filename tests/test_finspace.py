@@ -15,7 +15,7 @@ from latcirc import order_core as oc
 from latcirc.finspace import Cell, DiscreteSpace
 from references import (
     all_closed_sets, all_pairs_build_W, assert_view_is_reference, is_crisp,
-    reference_solder, same_space, seeded_masks, sliced_base, template_table,
+    positions, reference_solder, same_space, seeded_masks, sliced_base, template_table,
 )
 
 
@@ -135,8 +135,9 @@ class TestExpand:
     def test_matches_metric_formula(self):
         dg = gate.discretize(4)
         s = dg.space
+        pos = positions(dg)
         for (i, j), d in s.dist.items():
-            (x1, y1), (x2, y2) = dg.reps[i], dg.reps[j]
+            (x1, y1), (x2, y2) = pos[i], pos[j]
             assert x1 == x2
             assert d == max(abs(y1), abs(y2))
 
@@ -730,10 +731,11 @@ class TestPlacedViewMatchesReference:
             assert_view_is_reference(dc.space, dc.r_min, template_table(dc))
 
     def test_coproducts(self):
-        parts = [gate.discretize(3).space, edge_with_ends(), crisp_points(2)]
+        # a fresh template, so the one-part coproduct shares no view yet
+        parts = [gate.discretize.__wrapped__(3).space, edge_with_ends(), crisp_points(2)]
         for k in (0, 1, 3):
             s = fs.coproduct(*parts[:k])
-            assert_view_is_reference(s, F(2, 3), reference_solder(parts[:k], ())[1])
+            assert_view_is_reference(s, F(2, 3), reference_solder(parts[:k], ())[1], walked=k == 1)
         dd = gate.discretize_dagger(4)
         dg = dd.space
         opens = reference_solder([replace(dg, min_open=template_table(dd))] * 3, ())[1]

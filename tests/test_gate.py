@@ -8,7 +8,8 @@ from latcirc import finspace as fs
 from latcirc import gate
 from latcirc.gate import GateState
 from references import (
-    assert_view_is_reference, in_crisp_region, is_crisp, state_join, template_table,
+    assert_view_is_reference, in_crisp_region, is_crisp, positions, state_join,
+    template_table,
 )
 
 
@@ -42,7 +43,7 @@ class TestDiscretize:
         dg = gate.discretize(2)
         ur = next(i for i, c in enumerate(dg.space.cells) if c.tag == "UR.v0")
         lr = next(i for i, c in enumerate(dg.space.cells) if c.tag == "LR.v0")
-        assert dg.reps[ur] == (F(1, 2), F(1, 2))
+        assert positions(dg)[ur] == (F(1, 2), F(1, 2))
         assert dg.space.distance(ur, lr) == F(1, 2)
 
     def test_input_vertex_crisp_every_n(self):
@@ -55,12 +56,8 @@ class TestDiscretize:
 
     def test_metric_formula_n4(self):
         dg = gate.discretize(4)
-        ur = next(
-            i for i, c in enumerate(dg.space.cells) if dg.reps[i] == (F(3, 8), F(3, 8))
-        )
-        os_ = next(
-            i for i, c in enumerate(dg.space.cells) if dg.reps[i] == (F(3, 8), F(0))
-        )
+        ur = positions(dg).index((F(3, 8), F(3, 8)))
+        os_ = positions(dg).index((F(3, 8), F(0)))
         assert dg.space.distance(ur, os_) == F(3, 8)
 
     def test_validates_and_counts(self):
@@ -72,6 +69,7 @@ class TestDiscretize:
             assert len(dg.vertices) == 8
             assert dg.space.resolution == F(1, n)
             assert dg.r_min == F(2, n)
+            assert dg.r_min is dg.r_min  # one Fraction: the kernel finds its floor by identity
 
     def test_independent_distance_oracle(self):
         # recompute every pairwise distance straight from the metric clauses;
@@ -84,13 +82,14 @@ class TestDiscretize:
         for labels in cases:
             dg = gate.build_complex(labels, 3)
             s = dg.space
+            pos = positions(dg)
             owners = [0] * s.n
             for g, cells in enumerate(dg.copies):
                 for cell in cells:
                     owners[cell] |= 1 << g
             for i in range(s.n):
                 for j in range(i + 1, s.n):
-                    (x1, y1), (x2, y2) = dg.reps[i], dg.reps[j]
+                    (x1, y1), (x2, y2) = pos[i], pos[j]
                     if not owners[i] & owners[j]:
                         want = F(1)
                     elif in_crisp_region(x1, y1) or in_crisp_region(x2, y2):
@@ -99,7 +98,7 @@ class TestDiscretize:
                         want = F(1)
                     else:
                         want = max(abs(y1), abs(y2))
-                    assert s.distance(i, j) == want, (labels, dg.reps[i], dg.reps[j])
+                    assert s.distance(i, j) == want, (labels, pos[i], pos[j])
 
 
 class TestDagger:
@@ -141,10 +140,9 @@ class TestStateToCells:
         # independent check: the lobe is everything with y > 0, plus the origin
         dg = gate.discretize(5)
         lobe = gate.state_to_cells(dg, GateState(1, 0, 0))
-        for i in range(dg.space.n):
-            x, y = dg.reps[i]
+        for i, (x, y) in enumerate(positions(dg)):
             want = y > 0 or (x, y) == (0, 0)
-            assert bool(lobe >> i & 1) == want, dg.reps[i]
+            assert bool(lobe >> i & 1) == want, (x, y)
 
     def test_state_001_rejected(self):
         dg = gate.discretize(2)
@@ -166,7 +164,7 @@ class TestAssembly:
         dc = gate.build_complex([("a", "b", "c")], 3, ("a", "b", "c", "z"))
         z = dc.terminals["z"]
         assert dc.space.cells[z] == fs.Cell(z, 0, "pt")
-        assert z in dc.vertices and dc.reps[z] is None
+        assert z in dc.vertices and positions(dc)[z] is None
         assert dc.space.min_open is None
         assert fs.open_hull(dc.space, 1 << z) == fs.closure(dc.space, 1 << z) == 1 << z
         assert is_crisp(dc.space, 1 << z)
@@ -186,8 +184,10 @@ class TestAssembly:
         in1 = two.copies[1][one.terminals["a"]]
         assert out0 == in1 == two.terminals["c"]
         assert set(two.copies[0]) & set(two.copies[1]) == {two.terminals["c"]}
+        # the soldered terminal keeps copy 0's tag, so its point is OUT's
+        at, at_one = positions(two), positions(one)
         for local, cell in enumerate(two.copies[1]):
-            assert two.reps[cell] == one.reps[local]
+            assert at[cell] == (gate.VERTICES["OUT"] if cell == in1 else at_one[local])
 
     def test_copies_keep_the_template_cells(self):
         from latcirc import circuit as cc
@@ -220,22 +220,27 @@ SHAPES = {
 
 
 class TestPlacedViewMatchesReference:
-    """Complex views placed from the one-gate template against the walk over
-    template_table's full-width minimal opens (reference_view in
-    references.py)."""
+    """Complex views placed from the one-gate template, and the template's
+    own view walked off its min_open, against the walk over template_table's
+    full-width minimal opens (reference_view in references.py).  Each
+    complex is built from a fresh template, so whether its view is walked
+    does not hang on what ran before."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 32])
     @pytest.mark.parametrize("shape", list(SHAPES))
-    def test_five_solderings(self, shape, n):
-        dc = gate.build_complex([SHAPES[shape]], n)
-        # only the plain shape solders nothing, and keeps the template's table
-        assert (dc.space.min_open is None) == (shape != "plain")
-        assert_view_is_reference(dc.space, dc.r_min, template_table(dc))
+    def test_five_solderings(self, shape, n, monkeypatch):
+        dc = _fresh(monkeypatch, gate.build_complex, [SHAPES[shape]], n)
+        # only the plain shape solders nothing: it keeps the template's table
+        # and, the template having no view yet, walks its own
+        plain = shape == "plain"
+        assert (dc.space.min_open is None) == (not plain)
+        assert_view_is_reference(dc.space, dc.r_min, template_table(dc), walked=plain)
 
-    @pytest.mark.parametrize("n", [2, 5, 16])
-    def test_retagged_gates(self, n):
-        for dc in (gate.discretize(n), gate.discretize_dagger(n)):
-            assert_view_is_reference(dc.space, dc.r_min, template_table(dc))
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 32])
+    def test_retagged_gates(self, n, monkeypatch):
+        for build, walked in ((gate.discretize, True), (gate.discretize_dagger, False)):
+            dc = _fresh(monkeypatch, build, n)
+            assert_view_is_reference(dc.space, dc.r_min, template_table(dc), walked=walked)
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
     def test_full_presentations_n4(self, size):
@@ -391,17 +396,18 @@ def _fields(dc):
     s = dc.space
     return (
         s.cells, s.open_masks(), dict(s.dist), s.slices, s.resolution,
-        dc.edges, dc.vertices, dict(dc.terminals), dc.terminal_order, dc.reps, dc.n, dc.copies,
+        dc.edges, dc.vertices, dict(dc.terminals), dc.terminal_order, dc.n, dc.copies,
     )
 
 
 def _fresh(monkeypatch, build, *args):
-    """build(*args) with every kept gate rebuilt: the template too, so a
-    dagger or multi-gate complex is placed from an uncompiled template."""
+    """build(*args) with every kept gate rebuilt, build itself too when it
+    is discretize or discretize_dagger: the template too, so a dagger or
+    multi-gate complex is placed from a template with no view yet."""
     with monkeypatch.context() as m:
         m.setattr(gate, "discretize", gate.discretize.__wrapped__)
         m.setattr(gate, "discretize_dagger", gate.discretize_dagger.__wrapped__)
-        return build(*args)
+        return getattr(build, "__wrapped__", build)(*args)
 
 
 def _outcome(call, *args):
@@ -433,7 +439,7 @@ class TestKeptGates:
             dc.space.dist[(0, 1)] = F(1, 2)
         with pytest.raises(TypeError):
             gate.discretize_dagger(4).space.dist[(0, 1)] = F(1, 2)
-        assert all(isinstance(f, tuple) for f in (dc.edges, dc.vertices, dc.reps, dc.copies))
+        assert all(isinstance(f, tuple) for f in (dc.edges, dc.vertices, dc.copies))
 
     def test_interleaved_uses_match_fresh_builds(self, monkeypatch):
         from latcirc import circuit as cc

@@ -49,7 +49,6 @@ BENCHMARK = {
     "finspace.DiscreteSpace.open_masks",
     "finspace._View.neighbours",
     "finspace._tile",
-    "finspace._walked_rows",
     "finspace.cellset",
     "finspace.closure",
     "finspace.enumerate_definable",
